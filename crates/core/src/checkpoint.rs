@@ -53,6 +53,7 @@ use crate::eval::SimilarityCalibration;
 use crate::model::ZscModel;
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
+use metrics::{StreamDriftConfig, StreamDriftDetector};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::Path;
@@ -508,16 +509,19 @@ fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
 }
 
 /// Continual-learning stream state captured inside a [`CheckpointDelta`]:
-/// the exact per-class prototype counters plus the publication batching
-/// position at compaction time.
+/// the exact per-class prototype counters, the publication batching
+/// position, and the drift detector at compaction time.
 ///
 /// The counters are the ground truth of streamed learning — prototypes are
 /// re-derived from them by re-signing, so persisting them exactly (i32
 /// sums, observation counts) makes recovery counter-exact even when the
 /// compaction base was written mid-batch: `pending` names the classes whose
 /// counters have changed since their last publication, and `since_publish`
-/// is how far the automatic `publish_every` cadence had advanced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// is how far the automatic `publish_every` cadence had advanced. The
+/// drift detector decides when a routed index re-clusters, so it is
+/// persisted too: a recovered server alarms at exactly the publications
+/// the pre-crash server would have.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamCheckpoint {
     /// Exact per-class bundling counters (see [`hdc::ClassAccumulator`]).
     pub accumulators: hdc::ClassAccumulator,
@@ -527,6 +531,28 @@ pub struct StreamCheckpoint {
     /// Observes folded since the last publication boundary; the automatic
     /// boundary fires when this reaches the server's `publish_every`.
     pub since_publish: u64,
+    /// The per-class drift detector, with its lifetime publication and
+    /// alarm counters.
+    pub drift: StreamDriftDetector,
+}
+
+/// Hand-written so the `drift` key stays additive: stream states written
+/// before the detector was persisted carry no key and load with a fresh
+/// default-configured detector.
+impl Deserialize for StreamCheckpoint {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = de::expect_object(value, "StreamCheckpoint")?;
+        let drift = match value.get("drift") {
+            None => StreamDriftDetector::new(StreamDriftConfig::default()),
+            Some(v) => StreamDriftDetector::from_value(v).map_err(|e| e.in_field("drift"))?,
+        };
+        Ok(Self {
+            accumulators: de::field(entries, "accumulators", "StreamCheckpoint")?,
+            pending: de::field(entries, "pending", "StreamCheckpoint")?,
+            since_publish: de::field(entries, "since_publish", "StreamCheckpoint")?,
+            drift,
+        })
+    }
 }
 
 /// A serve-time compaction base: a model [`Checkpoint`] plus the exact
@@ -931,10 +957,15 @@ mod tests {
         accumulators
             .observe("class1", &example)
             .expect("observe fits");
+        let mut drift = StreamDriftDetector::new(StreamDriftConfig::default());
+        for x in [0.1, 0.37, 0.02, 0.9] {
+            drift.record("class1", x);
+        }
         let stream = StreamCheckpoint {
             accumulators,
             pending: vec!["class1".to_string()],
             since_publish: 1,
+            drift,
         };
         let delta = CheckpointDelta {
             snapshot_version: 41,
@@ -970,8 +1001,19 @@ mod tests {
         let restored = CheckpointDelta::from_json_str(&legacy).expect("legacy delta loads");
         assert!(restored.routed.is_none());
         // Stream counters survive exactly (counts, observation tallies,
-        // batching position), and pre-streaming deltas load as `None`.
+        // batching position, drift detector), and pre-streaming deltas load
+        // as `None`.
         assert_eq!(restored.stream.as_ref(), Some(&stream));
+        // A stream state written before the detector was persisted loads
+        // with a fresh one.
+        let serde::Value::Object(mut entries) = stream.to_value() else {
+            panic!("stream state serializes as an object");
+        };
+        entries.retain(|(key, _)| key != "drift");
+        let pre_drift = StreamCheckpoint::from_value(&serde::Value::Object(entries))
+            .expect("pre-drift stream state loads");
+        assert_eq!(pre_drift.accumulators, stream.accumulators);
+        assert_eq!(pre_drift.drift.publishes(), 0);
         let legacy_stream = json.replace("  \"stream\":", "  \"pre_stream\":");
         assert_ne!(legacy_stream, json);
         let restored = CheckpointDelta::from_json_str(&legacy_stream).expect("legacy delta loads");
@@ -1028,6 +1070,7 @@ mod tests {
             accumulators: narrow,
             pending: Vec::new(),
             since_publish: 0,
+            drift: StreamDriftDetector::new(StreamDriftConfig::default()),
         })
         .to_json();
         assert!(matches!(
@@ -1042,6 +1085,7 @@ mod tests {
             accumulators: hdc::ClassAccumulator::new(memory.dim()),
             pending: vec!["ghost".to_string()],
             since_publish: 1,
+            drift: StreamDriftDetector::new(StreamDriftConfig::default()),
         })
         .to_json();
         assert!(matches!(

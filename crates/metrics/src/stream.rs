@@ -17,13 +17,15 @@
 //! Everything here is deterministic in its inputs: feeding the same
 //! displacement sequence reproduces the same alarms and the same report,
 //! which is what lets crash recovery rebuild detector state by replay.
+//! Every type also round-trips through serde exactly, so a serving layer
+//! can persist the detector mid-stream and resume it bit-for-bit.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Exponentially-weighted moving average: `m ← (1-α)·m + α·x`, seeded by
 /// the first observation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -72,7 +74,7 @@ impl Ewma {
 /// running minimum `M_t`; an **alarm** fires when `m_t - M_t > λ`. Small
 /// `δ` makes the test more sensitive, large `λ` trades detection delay for
 /// fewer false alarms.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PageHinkley {
     delta: f64,
     lambda: f64,
@@ -131,7 +133,7 @@ impl PageHinkley {
 }
 
 /// Tuning of the per-class drift detection pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamDriftConfig {
     /// EWMA smoothing factor for the displacement trend.
     pub ewma_alpha: f64,
@@ -157,7 +159,7 @@ impl Default for StreamDriftConfig {
 
 /// Per-class drift state: the smoothed trend, the change-point test, and
 /// the counters the report surfaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ClassTracker {
     ewma: Ewma,
     ph: PageHinkley,
@@ -198,7 +200,7 @@ pub struct DriftReport {
 
 /// EWMA + Page–Hinkley over per-class prototype displacement; see the
 /// module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamDriftDetector {
     config: StreamDriftConfig,
     classes: BTreeMap<String, ClassTracker>,
@@ -375,6 +377,23 @@ mod tests {
         assert_eq!(stable.alarms, 0);
         assert!(stable.mean_displacement < 0.03);
         assert_eq!(report.alarms, drifting.alarms);
+    }
+
+    #[test]
+    fn serde_round_trip_resumes_the_same_alarms() {
+        let mut live = StreamDriftDetector::new(StreamDriftConfig::default());
+        for i in 0..20 {
+            live.record("a", if i < 10 { 0.02 } else { 0.3 });
+            live.record("b", 0.1 / f64::from(i + 1));
+        }
+        let mut resumed =
+            StreamDriftDetector::from_value(&live.to_value()).expect("detector round-trips");
+        assert_eq!(resumed, live);
+        for i in 0..20 {
+            let x = if i % 4 == 0 { 0.6 } else { 0.01 };
+            assert_eq!(resumed.record("a", x), live.record("a", x), "step {i}");
+        }
+        assert_eq!(resumed.report(), live.report());
     }
 
     #[test]

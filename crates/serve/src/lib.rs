@@ -349,6 +349,67 @@ mod tests {
         assert_eq!(server.stats().queries, 1);
     }
 
+    /// Every ingress rejects NaN and infinities with a typed error before
+    /// anything is enqueued, encoded, folded, or published.
+    #[test]
+    fn non_finite_rows_are_rejected_at_every_ingress() {
+        let (model, labels, class_attributes, schema) = fixture();
+        let server = QueryServer::start(
+            model,
+            labels.clone(),
+            &class_attributes,
+            ServerConfig {
+                publish_every: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts");
+        let is_non_finite = |what: &str, result: Result<_, ServeError>| match result {
+            Err(ServeError::NonFinite { what: found }) => assert_eq!(found, what),
+            Err(other) => panic!("expected NonFinite for a {what} row, got {other}"),
+            Ok(_) => panic!("a non-finite {what} row was accepted"),
+        };
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut features = vec![0.5; FEATURE_DIM];
+            features[3] = bad;
+            is_non_finite("feature", server.query(&features).map(drop));
+            is_non_finite(
+                "feature",
+                server
+                    .query_batch(&[vec![0.5; FEATURE_DIM], features.clone()])
+                    .map(drop),
+            );
+            is_non_finite("feature", server.observe("class0", &features).map(drop));
+            let mut attributes = vec![0.5; 312];
+            attributes[7] = bad;
+            is_non_finite(
+                "class-attribute",
+                server.register_class("fresh", &attributes).map(drop),
+            );
+            is_non_finite(
+                "class-attribute",
+                server.update_class("class1", &attributes).map(drop),
+            );
+            let mut matrix = class_attributes.clone();
+            matrix.row_mut(2)[0] = bad;
+            let swapped = ZscModel::new(&ModelConfig::tiny().with_seed(3), &schema, FEATURE_DIM);
+            is_non_finite(
+                "class-attribute",
+                server
+                    .swap_model(swapped, labels.clone(), &matrix)
+                    .map(drop),
+            );
+        }
+        assert_eq!(server.snapshot().version(), 0, "nothing was published");
+        assert_eq!(server.stats().queries, 0, "nothing was enqueued");
+        assert_eq!(server.stream_stats().observes, 0, "nothing was folded");
+        // The threshold verb keeps its own typed rejection.
+        assert!(matches!(
+            server.set_threshold(f32::NAN),
+            Err(ServeError::InvalidConfig(_))
+        ));
+    }
+
     #[test]
     fn invalid_construction_is_rejected() {
         let (model, labels, class_attributes, _) = fixture();

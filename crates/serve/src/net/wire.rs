@@ -36,6 +36,9 @@ pub mod code {
     pub const FEATURE_WIDTH: &str = "feature_width";
     /// A class-attribute row had the wrong width.
     pub const ATTRIBUTE_WIDTH: &str = "attribute_width";
+    /// A feature or class-attribute row carried a non-finite value (a JSON
+    /// `null` element decodes to NaN).
+    pub const NON_FINITE: &str = "non_finite";
     /// The named class is not registered.
     pub const UNKNOWN_CLASS: &str = "unknown_class";
     /// The label is already registered (use `update_class`).
@@ -65,6 +68,7 @@ pub fn error_code(error: &ServeError) -> &'static str {
         ServeError::Stopped => code::STOPPED,
         ServeError::FeatureWidth { .. } => code::FEATURE_WIDTH,
         ServeError::AttributeWidth { .. } => code::ATTRIBUTE_WIDTH,
+        ServeError::NonFinite { .. } => code::NON_FINITE,
         ServeError::UnknownClass(_) => code::UNKNOWN_CLASS,
         ServeError::DuplicateLabel(_) => code::DUPLICATE_LABEL,
         ServeError::Draining => code::DRAINING,
@@ -781,6 +785,10 @@ mod tests {
                 found: 3
             }),
             code::FEATURE_WIDTH
+        );
+        assert_eq!(
+            error_code(&ServeError::NonFinite { what: "feature" }),
+            code::NON_FINITE
         );
     }
 }

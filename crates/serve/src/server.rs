@@ -30,18 +30,29 @@
 //! plane — the `zero_copy` stress test pins, via `FrozenModel::ptr_eq` /
 //! `strong_count` probes, that those copies are gone for good.)
 //!
+//! # One mutation state machine
+//!
 //! Mutations — [`QueryServer::register_class`],
 //! [`QueryServer::update_class`], [`QueryServer::remove_class`],
 //! [`QueryServer::swap_model`], [`QueryServer::set_threshold`] /
-//! [`QueryServer::clear_threshold`] — validate their inputs first, then build the
-//! next snapshot on the caller's thread and publish it with one `Arc`
-//! store. The sharded memory's copy-on-write shards make the incremental
-//! paths cheap: registering a class clones `Arc` handles for every shard
-//! except the one the class routes to, which alone is repacked — and a
-//! request that fails validation (wrong width, unknown label) returns its
-//! typed error before any shard is cloned or repacked. In-flight queries
-//! keep scoring against the old snapshot until the dispatcher's next
-//! pickup; nothing drains, nothing blocks on the queue.
+//! [`QueryServer::clear_threshold`], and the streaming
+//! [`QueryServer::observe`] / [`QueryServer::flush`] — all take one path
+//! under the control mutex: validate the request's rows (width, finite
+//! values), build one WAL-shaped mutation, `check` it against the serving
+//! state, append it to the write-ahead log (durable servers only), `apply`
+//! it, and publish the resulting snapshot with one `Arc` store.
+//! [`QueryServer::recover`] folds the very same `check` and `apply` over
+//! the logged suffix of the compaction base, so every state transition has
+//! exactly one implementation and recovery rebuilds exactly what clients
+//! were acknowledged.
+//!
+//! The sharded memory's copy-on-write shards make the incremental paths
+//! cheap: registering a class clones `Arc` handles for every shard except
+//! the one the class routes to, which alone is repacked — and a request
+//! that fails validation (wrong width, non-finite value, unknown label)
+//! returns its typed error before any shard is cloned or repacked.
+//! In-flight queries keep scoring against the old snapshot until the
+//! dispatcher's next pickup; nothing drains, nothing blocks on the queue.
 //!
 //! # Exactness
 //!
@@ -60,6 +71,7 @@ use engine::{PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemo
 use hdc::{BipolarHypervector, ClassAccumulator};
 use hdc_zsc::{Checkpoint, CheckpointDelta, FrozenModel, StreamCheckpoint};
 use metrics::{DriftReport, StreamDriftConfig, StreamDriftDetector};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -174,6 +186,12 @@ pub enum ServeError {
         /// Width the caller submitted.
         found: usize,
     },
+    /// A submitted feature or class-attribute row carries a NaN or an
+    /// infinity (over the wire, a JSON `null` element decodes to NaN).
+    NonFinite {
+        /// Which kind of row: `"feature"` or `"class-attribute"`.
+        what: &'static str,
+    },
     /// A class label was not found (e.g. removing an unregistered class).
     UnknownClass(String),
     /// A class label is already registered. Registration never silently
@@ -219,6 +237,9 @@ impl std::fmt::Display for ServeError {
                 f,
                 "class-attribute row has width {found}, the model expects {expected}"
             ),
+            ServeError::NonFinite { what } => {
+                write!(f, "{what} row carries a non-finite value (NaN or infinity)")
+            }
             ServeError::UnknownClass(label) => write!(f, "no class registered as `{label}`"),
             ServeError::DuplicateLabel(label) => write!(
                 f,
@@ -320,11 +341,48 @@ struct DurableState {
     since_compact: u64,
 }
 
-/// The continual-learning half of the control plane: exact per-class
+impl DurableState {
+    fn new(
+        wal: WriteAheadLog,
+        durability: DurabilityConfig,
+        schema: &AttributeSchema,
+        since_compact: u64,
+    ) -> Self {
+        Self {
+            wal,
+            dir: durability.dir,
+            schema: schema.clone(),
+            compact_every: durability.compact_every,
+            since_compact,
+        }
+    }
+
+    /// Counts one logged record towards the compaction policy and folds
+    /// the log when it is due.
+    fn maybe_compact(&mut self, state: &ServeState) -> Result<(), ServeError> {
+        self.since_compact += 1;
+        if self.compact_every == 0 || self.since_compact < self.compact_every {
+            return Ok(());
+        }
+        self.compact(state)
+    }
+
+    /// Writes `state` as the new checkpoint-delta base, then rotates the
+    /// log — in that order, so a crash between the two leaves a base whose
+    /// `next_record_seq` simply skips the old log's already-folded records.
+    fn compact(&mut self, state: &ServeState) -> Result<(), ServeError> {
+        state
+            .delta(&self.schema, self.wal.next_seq())
+            .save_json(wal::base_path(&self.dir))?;
+        self.wal.rotate()?;
+        self.since_compact = 0;
+        Ok(())
+    }
+}
+
+/// The continual-learning half of the serving state: exact per-class
 /// bundling counters, the publication batching position, and the drift
-/// detector fed one displacement per published class version. Lives inside
-/// the control mutex like every other mutation-plane state, so observes are
-/// ordered exactly like the WAL records that log them.
+/// detector fed one displacement per published class version.
 #[derive(Debug)]
 struct StreamControl {
     /// Copy of [`ServerConfig::publish_every`] — the automatic publication
@@ -339,7 +397,7 @@ struct StreamControl {
     pending: BTreeSet<String>,
     /// Observes folded since the last publication boundary.
     since_publish: u64,
-    /// Lifetime observes accepted (pre- and post-publication).
+    /// Observes accepted since start-up or the compaction base.
     observes: u64,
     /// EWMA + Page–Hinkley change-point detection over per-class prototype
     /// displacement between published versions.
@@ -348,45 +406,63 @@ struct StreamControl {
 
 impl StreamControl {
     fn fresh(dim: usize, publish_every: u32) -> Self {
+        Self::resume(None, dim, publish_every)
+    }
+
+    /// Resumes the stream state a compaction base persisted — counters,
+    /// batching position, and drift detector — or starts fresh.
+    fn resume(saved: Option<StreamCheckpoint>, dim: usize, publish_every: u32) -> Self {
+        let saved = saved.unwrap_or_else(|| StreamCheckpoint {
+            accumulators: ClassAccumulator::new(dim),
+            pending: Vec::new(),
+            since_publish: 0,
+            drift: StreamDriftDetector::new(StreamDriftConfig::default()),
+        });
         Self {
             publish_every,
-            accumulators: ClassAccumulator::new(dim),
-            pending: BTreeSet::new(),
-            since_publish: 0,
+            accumulators: saved.accumulators,
+            pending: saved.pending.into_iter().collect(),
+            since_publish: saved.since_publish,
             observes: 0,
-            drift: StreamDriftDetector::new(StreamDriftConfig::default()),
+            drift: saved.drift,
         }
     }
 
     /// The delta-persistable projection of this state (`None` when nothing
     /// has been streamed, keeping pre-streaming bases byte-stable).
     fn checkpoint(&self) -> Option<StreamCheckpoint> {
-        if self.accumulators.is_empty() && self.since_publish == 0 {
+        if self.accumulators.is_empty() && self.since_publish == 0 && self.drift.publishes() == 0 {
             return None;
         }
         Some(StreamCheckpoint {
             accumulators: self.accumulators.clone(),
             pending: self.pending.iter().cloned().collect(),
             since_publish: self.since_publish,
+            drift: self.drift.clone(),
         })
     }
 }
 
 /// Streaming continual-learning counters of a [`QueryServer`]; see
 /// [`QueryServer::stream_stats`].
+///
+/// `pending_classes`, `since_publish`, `publishes` and `drift_alarms` are
+/// part of the persisted stream state: they survive compaction and
+/// recovery exactly. `observes` restarts at the compaction base.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct StreamStats {
-    /// Observations accepted over the server's lifetime (on a recovered
-    /// server: since the compaction base, i.e. replayed plus live).
+    /// Observations accepted since the server started — on a recovered
+    /// server, since its compaction base (replayed plus live).
     pub observes: u64,
     /// Classes with counter changes not yet re-signed into a published
     /// snapshot.
     pub pending_classes: u64,
     /// Observations folded since the last publication boundary.
     pub since_publish: u64,
-    /// Class-version publications the drift detector has scored.
+    /// Class-version publications the drift detector has scored since the
+    /// last model swap.
     pub publishes: u64,
-    /// Page–Hinkley drift alarms raised so far.
+    /// Page–Hinkley drift alarms raised since the last model swap.
     pub drift_alarms: u64,
 }
 
@@ -552,20 +628,339 @@ struct QueueState {
     shutdown: bool,
 }
 
+/// One mutation-plane transition, as [`ServeState::check`] and
+/// [`ServeState::apply`] consume it. Every WAL record applies as decoded
+/// except a model swap: its record carries the model as checkpoint JSON,
+/// while in memory a swap holds the [`FrozenModel`] itself — only a durable
+/// server's log serializes it ([`Mutation::record`]).
+#[derive(Debug)]
+enum Mutation {
+    /// Any transition other than a swap, in its WAL record form.
+    Logged(WalOp),
+    /// The whole model and class set are replaced.
+    Swap {
+        model: FrozenModel,
+        memory: ShardedClassMemory,
+    },
+}
+
+impl Mutation {
+    /// Decodes a replayed record; a swap's model loads through the
+    /// fully-validating checkpoint path against the serving schema.
+    fn decode(op: WalOp, schema: &AttributeSchema) -> Result<Self, ServeError> {
+        match op {
+            WalOp::Swap {
+                checkpoint_json,
+                memory,
+            } => Ok(Mutation::Swap {
+                model: Checkpoint::from_json_str(&checkpoint_json)?.into_frozen(schema)?,
+                memory,
+            }),
+            op => Ok(Mutation::Logged(op)),
+        }
+    }
+
+    /// The WAL record logging this mutation; a swap captures its model as
+    /// a checkpoint of the pinned `schema`.
+    fn record(&self, schema: &AttributeSchema) -> Cow<'_, WalOp> {
+        match self {
+            Mutation::Logged(op) => Cow::Borrowed(op),
+            Mutation::Swap { model, memory } => Cow::Owned(WalOp::Swap {
+                checkpoint_json: Checkpoint::capture(model, schema).to_json(),
+                memory: memory.clone(),
+            }),
+        }
+    }
+}
+
+/// The serving state machine: the last published snapshot plus the stream
+/// state behind it. Live mutations and WAL recovery drive the same two
+/// functions — [`ServeState::check`], then [`ServeState::apply`] — so what
+/// a client was acknowledged is exactly what recovery rebuilds.
+///
+/// `snapshot` is the very `Arc` the dispatcher serves, so the state keeps
+/// no second model handle and no second class memory: `apply` copies the
+/// snapshot on write, and within it only the touched shard or cluster.
+#[derive(Debug)]
+struct ServeState {
+    snapshot: Arc<ModelSnapshot>,
+    stream: StreamControl,
+}
+
+impl ServeState {
+    /// A new server's version-0 state: the class set encoded into a
+    /// sharded memory, plus a routed index in routed mode.
+    fn initial(
+        model: FrozenModel,
+        labels: Vec<String>,
+        class_attributes: &Matrix,
+        config: &ServerConfig,
+        threshold: Option<f32>,
+    ) -> Result<Self, ServeError> {
+        validate_config(config)?;
+        validate_class_set(&model, &labels, class_attributes)?;
+        let memory = model
+            .sharded_class_memory(labels, class_attributes, config.shards)
+            .with_threads(config.threads);
+        let routed = config
+            .routed
+            .map(|rc| routed_from_sharded(&memory, rc, config.threads));
+        Ok(Self {
+            stream: StreamControl::fresh(memory.dim(), config.publish_every),
+            snapshot: Arc::new(ModelSnapshot {
+                version: 0,
+                model,
+                memory,
+                routed,
+                threshold,
+            }),
+        })
+    }
+
+    /// The state a compaction base captured, resumed under `config`. The
+    /// base's routed index is kept only when it was built under exactly
+    /// `config.routed`: replaying the same records into the same structure
+    /// then reproduces the pre-crash index bit-for-bit. Otherwise (config
+    /// changed, routing newly requested, or a pre-routed base) recovery
+    /// rebuilds it once after replay.
+    fn from_base(
+        delta: CheckpointDelta,
+        schema: &AttributeSchema,
+        config: &ServerConfig,
+    ) -> Result<Self, ServeError> {
+        let memory = delta.memory.with_threads(config.threads);
+        let routed = match (config.routed, delta.routed) {
+            (Some(rc), Some(saved)) if saved.config() == rc => {
+                Some(saved.with_threads(config.threads))
+            }
+            _ => None,
+        };
+        Ok(Self {
+            stream: StreamControl::resume(delta.stream, memory.dim(), config.publish_every),
+            snapshot: Arc::new(ModelSnapshot {
+                version: delta.snapshot_version,
+                model: delta.base.into_frozen(schema)?,
+                memory,
+                routed,
+                threshold: delta.threshold,
+            }),
+        })
+    }
+
+    /// This state as a compaction base whose log suffix starts at
+    /// `next_record_seq`.
+    fn delta(&self, schema: &AttributeSchema, next_record_seq: u64) -> CheckpointDelta {
+        let snapshot = &self.snapshot;
+        CheckpointDelta {
+            snapshot_version: snapshot.version,
+            next_record_seq,
+            base: Checkpoint::capture(&snapshot.model, schema),
+            memory: snapshot.memory.clone(),
+            routed: snapshot.routed.clone(),
+            threshold: snapshot.threshold,
+            stream: self.stream.checkpoint(),
+        }
+    }
+
+    /// Rejects a mutation that would break a serving invariant. Runs
+    /// before anything is logged or applied: live callers get the typed
+    /// error, replay reports it as corruption at the offending record.
+    fn check(&self, op: &Mutation) -> Result<(), ServeError> {
+        let memory = &self.snapshot.memory;
+        match op {
+            Mutation::Logged(WalOp::Register { label, .. }) if memory.contains(label) => {
+                Err(ServeError::DuplicateLabel(label.clone()))
+            }
+            Mutation::Logged(
+                WalOp::Update { label, .. }
+                | WalOp::Remove { label }
+                | WalOp::Observe { label, .. },
+            ) if !memory.contains(label) => Err(ServeError::UnknownClass(label.clone())),
+            Mutation::Logged(WalOp::Remove { .. }) if memory.len() == 1 => Err(
+                ServeError::InvalidConfig("cannot remove the last registered class".to_string()),
+            ),
+            Mutation::Logged(
+                WalOp::Register { words, .. }
+                | WalOp::Update { words, .. }
+                | WalOp::Observe { words, .. },
+            ) if words.len() != memory.words_per_row() => Err(ServeError::InvalidConfig(format!(
+                "row carries {} packed words, the memory packs {}",
+                words.len(),
+                memory.words_per_row()
+            ))),
+            Mutation::Logged(WalOp::SetThreshold { bits: Some(bits) })
+                if !f32::from_bits(*bits).is_finite() =>
+            {
+                Err(ServeError::InvalidConfig(format!(
+                    "rejection threshold must be finite, got {}",
+                    f32::from_bits(*bits)
+                )))
+            }
+            Mutation::Swap {
+                model,
+                memory: swapped,
+            } => {
+                let (found, expected) = (
+                    model.image_encoder().feature_dim(),
+                    self.snapshot.model.image_encoder().feature_dim(),
+                );
+                if found != expected {
+                    return Err(ServeError::InvalidConfig(format!(
+                        "swapped model expects feature width {found}, the server serves {expected}"
+                    )));
+                }
+                if swapped.is_empty() || swapped.dim() != model.embedding_dim() {
+                    return Err(ServeError::InvalidConfig(format!(
+                        "swapped memory holds {} classes of {} bits, the model embeds {} bits",
+                        swapped.len(),
+                        swapped.dim(),
+                        model.embedding_dim()
+                    )));
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Applies one checked mutation — the mutation plane's single
+    /// transition table, shared by live mutations and WAL replay. Returns
+    /// whether it published a new snapshot (version + 1): an observe inside
+    /// a batch, or a flush with nothing pending, publishes nothing.
+    fn apply(&mut self, op: Mutation) -> bool {
+        match op {
+            Mutation::Logged(WalOp::Register { label, words } | WalOp::Update { label, words }) => {
+                // A re-pointed class's counters described the replaced
+                // prototype; the next observe re-seeds from the new row.
+                self.stream.accumulators.remove(&label);
+                self.stream.pending.remove(&label);
+                let next = next_version(&mut self.snapshot);
+                if let Some(routed) = next.routed.as_mut() {
+                    routed.add_class_packed(label.clone(), &words);
+                }
+                next.memory.add_class_packed(label, &words);
+            }
+            Mutation::Logged(WalOp::Remove { label }) => {
+                // Every stream trace of the class goes with it.
+                self.stream.accumulators.remove(&label);
+                self.stream.pending.remove(&label);
+                self.stream.drift.remove(&label);
+                let next = next_version(&mut self.snapshot);
+                if let Some(routed) = next.routed.as_mut() {
+                    routed.remove_class(&label);
+                }
+                next.memory.remove_class(&label);
+            }
+            Mutation::Swap { model, memory } => {
+                let threads = self.snapshot.memory.threads();
+                let memory = memory.with_threads(threads);
+                // The routed index is rebuilt through the same pure function
+                // as at start-up, so live and replayed swaps agree exactly.
+                let routed = self
+                    .snapshot
+                    .routed
+                    .as_ref()
+                    .map(|r| routed_from_sharded(&memory, r.config(), threads));
+                // Stream counters, pending publications and drift history
+                // all described the replaced class set. The threshold is
+                // serve-time control state, not a property of the model, so
+                // it survives.
+                self.stream = StreamControl::fresh(memory.dim(), self.stream.publish_every);
+                self.snapshot = Arc::new(ModelSnapshot {
+                    version: self.snapshot.version + 1,
+                    model,
+                    memory,
+                    routed,
+                    threshold: self.snapshot.threshold,
+                });
+            }
+            Mutation::Logged(WalOp::SetThreshold { bits }) => {
+                next_version(&mut self.snapshot).threshold = bits.map(f32::from_bits);
+            }
+            Mutation::Logged(WalOp::Observe { label, words }) => {
+                let memory = &self.snapshot.memory;
+                let current = memory
+                    .class_words(&label)
+                    .expect("checked: class registered");
+                fold_observation(
+                    &mut self.stream.accumulators,
+                    &label,
+                    &words,
+                    current,
+                    memory.dim(),
+                );
+                self.stream.pending.insert(label);
+                self.stream.since_publish += 1;
+                self.stream.observes += 1;
+                if self.stream.since_publish < u64::from(self.stream.publish_every) {
+                    return false;
+                }
+                self.publish_pending();
+            }
+            Mutation::Logged(WalOp::Flush) => {
+                if self.stream.pending.is_empty() {
+                    return false;
+                }
+                self.publish_pending();
+            }
+            Mutation::Logged(WalOp::Swap { .. }) => {
+                unreachable!("swap records decode into Mutation::Swap")
+            }
+        }
+        true
+    }
+
+    /// One publication boundary: re-signs every pending class from its
+    /// exact counters, scores each prototype's displacement through the
+    /// drift detector, and writes the rows into the next snapshot. A
+    /// Page–Hinkley alarm on any class re-clusters the routed index once —
+    /// the serving response to detected concept drift.
+    fn publish_pending(&mut self) {
+        let stream = &mut self.stream;
+        let next = next_version(&mut self.snapshot);
+        let dim = next.memory.dim();
+        let mut alarmed = false;
+        for (label, words) in resign_pending(&stream.accumulators, &stream.pending) {
+            let displacement = next
+                .memory
+                .class_words(&label)
+                .map_or(1.0, |old| normalized_displacement(old, &words, dim));
+            alarmed |= stream.drift.record(&label, displacement);
+            if let Some(routed) = next.routed.as_mut() {
+                routed.add_class_packed(label.clone(), &words);
+            }
+            next.memory.add_class_packed(label, &words);
+        }
+        if alarmed {
+            if let Some(routed) = next.routed.as_mut() {
+                routed.recluster();
+            }
+        }
+        stream.pending.clear();
+        stream.since_publish = 0;
+    }
+}
+
+/// The snapshot after `current`, copied on write (a shallow copy: the model
+/// is shared and memory shards are copy-on-write) with its version bumped.
+fn next_version(current: &mut Arc<ModelSnapshot>) -> &mut ModelSnapshot {
+    let next = Arc::make_mut(current);
+    next.version += 1;
+    next
+}
+
 /// The control plane guarded by one mutex, serializing mutations so
-/// concurrent callers publish strictly ordered versions. It holds no model:
-/// class encoding runs through the *serving snapshot's* shared
+/// concurrent callers publish strictly ordered versions. It holds no model
+/// of its own: class encoding runs through the *serving snapshot's* shared
 /// [`FrozenModel`] (`&self` inference), so registering a class costs one
 /// attribute-encoder forward and zero weight copies.
 #[derive(Debug)]
 struct ControlPlane {
-    attribute_dim: usize,
+    state: ServeState,
     /// `Some` for servers started with [`QueryServer::start_durable`] or
     /// [`QueryServer::recover`]: every mutation is WAL-appended (and
-    /// fsynced per the policy) *before* its snapshot is published.
+    /// fsynced per the policy) *before* it is applied and published.
     durable: Option<DurableState>,
-    /// Streaming continual-learning state; see [`StreamControl`].
-    stream: StreamControl,
 }
 
 /// A running query server; see the module docs.
@@ -624,72 +1019,22 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the labels, matrix and
-    /// configuration do not line up.
+    /// configuration do not line up, [`ServeError::AttributeWidth`] when
+    /// the matrix does not fit the model's attribute encoder, and
+    /// [`ServeError::NonFinite`] for a NaN or infinite attribute.
     pub fn start(
         model: impl Into<FrozenModel>,
         labels: Vec<String>,
         class_attributes: &Matrix,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
-        Self::start_with_threshold(model.into(), labels, class_attributes, config, None)
+        let state = ServeState::initial(model.into(), labels, class_attributes, &config, None)?;
+        Ok(Self::spawn(state, config, None))
     }
 
-    /// The shared non-durable construction body: [`QueryServer::start`]
-    /// seeds no threshold, [`QueryServer::from_checkpoint`] seeds the
-    /// checkpoint's calibrated one.
-    fn start_with_threshold(
-        model: FrozenModel,
-        labels: Vec<String>,
-        class_attributes: &Matrix,
-        config: ServerConfig,
-        threshold: Option<f32>,
-    ) -> Result<Self, ServeError> {
-        validate_class_set(&labels, class_attributes)?;
-        validate_config(&config)?;
-        let attribute_dim = class_attributes.cols();
-        let memory = model
-            .sharded_class_memory(labels, class_attributes, config.shards)
-            .with_threads(config.threads);
-        let routed = config
-            .routed
-            .map(|rc| routed_from_sharded(&memory, rc, config.threads));
-        let stream = StreamControl::fresh(memory.dim(), config.publish_every);
-        Ok(Self::start_with_parts(
-            model,
-            memory,
-            routed,
-            threshold,
-            attribute_dim,
-            config,
-            0,
-            None,
-            stream,
-        ))
-    }
-
-    /// The one spawn point every constructor funnels through: wraps the
-    /// already-validated parts into the initial snapshot and starts the
-    /// dispatcher thread.
-    #[allow(clippy::too_many_arguments)]
-    fn start_with_parts(
-        model: FrozenModel,
-        memory: ShardedClassMemory,
-        routed: Option<RoutedClassMemory>,
-        threshold: Option<f32>,
-        attribute_dim: usize,
-        config: ServerConfig,
-        version: u64,
-        durable: Option<DurableState>,
-        stream: StreamControl,
-    ) -> Self {
-        let feature_dim = model.image_encoder().feature_dim();
-        let snapshot = Arc::new(ModelSnapshot {
-            version,
-            model,
-            memory,
-            routed,
-            threshold,
-        });
+    /// The one spawn point every constructor funnels through: serves the
+    /// state's snapshot and starts the dispatcher thread.
+    fn spawn(state: ServeState, config: ServerConfig, durable: Option<DurableState>) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
@@ -697,8 +1042,8 @@ impl QueryServer {
             }),
             arrivals: Condvar::new(),
             stats: Mutex::new(ServerStats::default()),
-            snapshot: Mutex::new(snapshot),
-            feature_dim,
+            snapshot: Mutex::new(Arc::clone(&state.snapshot)),
+            feature_dim: state.snapshot.model.image_encoder().feature_dim(),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -706,11 +1051,7 @@ impl QueryServer {
         };
         Self {
             shared,
-            control: Mutex::new(ControlPlane {
-                attribute_dim,
-                durable,
-                stream,
-            }),
+            control: Mutex::new(ControlPlane { state, durable }),
             dispatcher: Mutex::new(Some(dispatcher)),
         }
     }
@@ -744,8 +1085,6 @@ impl QueryServer {
         durability: DurabilityConfig,
     ) -> Result<Self, ServeError> {
         let model: FrozenModel = model.into();
-        validate_class_set(&labels, class_attributes)?;
-        validate_config(&config)?;
         if model.attribute_encoder().num_attributes() != schema.num_attributes() {
             return Err(ServeError::InvalidConfig(format!(
                 "model encodes {} attributes, the serving schema declares {}",
@@ -753,47 +1092,17 @@ impl QueryServer {
                 schema.num_attributes()
             )));
         }
-        let attribute_dim = class_attributes.cols();
+        let state = ServeState::initial(model, labels, class_attributes, &config, None)?;
         std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
-        let memory = model
-            .sharded_class_memory(labels, class_attributes, config.shards)
-            .with_threads(config.threads);
-        let routed = config
-            .routed
-            .map(|rc| routed_from_sharded(&memory, rc, config.threads));
         // Base first, then the (empty) log: a crash in between leaves a
         // directory `recover` rejects loudly (no log) rather than one that
         // silently replays nothing against a stale base.
-        CheckpointDelta {
-            snapshot_version: 0,
-            next_record_seq: 0,
-            base: Checkpoint::capture(&model, schema),
-            memory: memory.clone(),
-            routed: routed.clone(),
-            threshold: None,
-            stream: None,
-        }
-        .save_json(wal::base_path(&durability.dir))?;
+        state
+            .delta(schema, 0)
+            .save_json(wal::base_path(&durability.dir))?;
         let log = WriteAheadLog::create(wal::wal_path(&durability.dir), durability.sync)?;
-        let durable = DurableState {
-            wal: log,
-            dir: durability.dir,
-            schema: schema.clone(),
-            compact_every: durability.compact_every,
-            since_compact: 0,
-        };
-        let stream = StreamControl::fresh(memory.dim(), config.publish_every);
-        Ok(Self::start_with_parts(
-            model,
-            memory,
-            routed,
-            None,
-            attribute_dim,
-            config,
-            0,
-            Some(durable),
-            stream,
-        ))
+        let durable = DurableState::new(log, durability, schema, 0);
+        Ok(Self::spawn(state, config, Some(durable)))
     }
 
     /// Rebuilds a durable server from its WAL directory after a crash (or a
@@ -803,16 +1112,20 @@ impl QueryServer {
     /// a torn final record if one is found, and resumes serving — and
     /// logging — exactly where the pre-crash server left off.
     ///
-    /// The rebuilt class memory is **bit-identical** to the last
-    /// acknowledged pre-crash snapshot: register/update records replay the
-    /// packed prototype words the original server encoded, so no model
-    /// arithmetic is ever re-run.
+    /// Replay is the live state machine folded over the log: every record
+    /// goes through the same check and the same transition a live mutation
+    /// does, so the rebuilt class memory, routed index, threshold, stream
+    /// counters, drift detector and snapshot version are **bit-identical**
+    /// to the last acknowledged pre-crash state. Register/update/observe
+    /// records carry the packed words the original server encoded, so no
+    /// model arithmetic is ever re-run.
     ///
     /// # Errors
     ///
     /// [`ServeError::Checkpoint`] when the base is missing, malformed, or
     /// does not match `schema`; [`ServeError::Wal`] when the log is
-    /// missing, unreadable, or corrupt *before* its final record;
+    /// missing, unreadable, or corrupt *before* its final record (including
+    /// a record the live server could never have accepted);
     /// [`ServeError::InvalidConfig`] for a bad `config` or a recovered
     /// state with no classes.
     pub fn recover(
@@ -822,215 +1135,41 @@ impl QueryServer {
     ) -> Result<(Self, RecoveryReport), ServeError> {
         validate_config(&config)?;
         let delta = CheckpointDelta::load_json(wal::base_path(&durability.dir))?;
-        delta.base.validate_schema(schema)?;
+        let next_record_seq = delta.next_record_seq;
+        let mut state = ServeState::from_base(delta, schema, &config)?;
         let (log, replay) = WriteAheadLog::open(wal::wal_path(&durability.dir), durability.sync)?;
-        let CheckpointDelta {
-            snapshot_version,
-            next_record_seq,
-            base,
-            memory,
-            routed,
-            threshold,
-            stream,
-        } = delta;
-        let mut threshold = threshold;
-        let mut model = base.into_frozen(schema)?;
-        let mut memory = memory.with_threads(config.threads);
-        // Resume the base's routed index only when it was built under
-        // exactly the requested routed configuration: replaying the same
-        // records into the same structure reproduces the pre-crash index
-        // bit-for-bit. Otherwise (config changed, routing newly requested,
-        // or a pre-routed base) a fresh deterministic build runs after
-        // replay.
-        let mut routed = match (config.routed, routed) {
-            (Some(rc), Some(saved)) if saved.config() == rc => {
-                Some(saved.with_threads(config.threads))
-            }
-            _ => None,
-        };
-        // Stream state resumes from the base (mid-batch compaction persists
-        // the exact counters and batching position); the drift detector is
-        // not persisted and is rebuilt by replaying the same publication
-        // boundaries the pre-crash server published.
-        let mut stream = match stream {
-            Some(saved) => StreamControl {
-                publish_every: config.publish_every,
-                accumulators: saved.accumulators,
-                pending: saved.pending.into_iter().collect(),
-                since_publish: saved.since_publish,
-                observes: 0,
-                drift: StreamDriftDetector::new(StreamDriftConfig::default()),
-            },
-            None => StreamControl::fresh(memory.dim(), config.publish_every),
-        };
-        // Version accounting replays the pre-crash server's *publication*
-        // boundaries, not its record count: every classic mutation record
-        // published exactly one snapshot, observes publish only when the
-        // `publish_every` cadence fires, and flush records mark the explicit
-        // boundaries — so the recovered version matches the last version the
-        // pre-crash server acknowledged.
-        let mut version = snapshot_version;
+        let torn_tail = replay.torn_tail.is_some();
         let mut replayed_records = 0u64;
-        for entry in &replay.entries {
-            // Records the base already folds in (a crash can interleave a
-            // fresh base with the not-yet-rotated log; their seqs overlap).
+        // Records below `next_record_seq` are already folded into the base
+        // (a crash can interleave a fresh base with the not-yet-rotated log).
+        for entry in replay.entries {
             if entry.seq < next_record_seq {
                 continue;
             }
-            match &entry.op {
-                WalOp::Register { label, words } | WalOp::Update { label, words } => {
-                    if words.len() != memory.words_per_row() {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries {} prototype words, the memory packs {}",
-                                entry.seq,
-                                words.len(),
-                                memory.words_per_row()
-                            ),
-                        }));
-                    }
-                    memory.add_class_packed(label.clone(), words);
-                    if let Some(routed) = routed.as_mut() {
-                        routed.add_class_packed(label.clone(), words);
-                    }
-                    // The live path resets a re-pointed class's stream
-                    // counters (the old counters described the replaced
-                    // prototype); a register is a no-op here.
-                    stream.accumulators.remove(label);
-                    stream.pending.remove(label);
-                    version += 1;
-                }
-                WalOp::Remove { label } => {
-                    memory.remove_class(label);
-                    if let Some(routed) = routed.as_mut() {
-                        routed.remove_class(label);
-                    }
-                    stream.accumulators.remove(label);
-                    stream.pending.remove(label);
-                    stream.drift.remove(label);
-                    version += 1;
-                }
-                WalOp::Swap {
-                    checkpoint_json,
-                    memory: swapped,
-                } => {
-                    let checkpoint = Checkpoint::from_json_str(checkpoint_json)?;
-                    checkpoint.validate_schema(schema)?;
-                    model = checkpoint.into_frozen(schema)?;
-                    memory = swapped.clone().with_threads(config.threads);
-                    // The live server rebuilds the routed index from the
-                    // swapped memory through the same pure function, so the
-                    // replayed index matches it exactly.
-                    routed = routed
-                        .as_ref()
-                        .map(|r| routed_from_sharded(&memory, r.config(), config.threads));
-                    // A swap replaces the whole class set; stream state
-                    // describing the old one is meaningless, exactly like
-                    // the live path.
-                    stream = StreamControl::fresh(memory.dim(), config.publish_every);
-                    version += 1;
-                }
-                WalOp::SetThreshold { bits } => {
-                    let replayed = bits.map(f32::from_bits);
-                    if replayed.is_some_and(|t| !t.is_finite()) {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries a non-finite rejection threshold",
-                                entry.seq
-                            ),
-                        }));
-                    }
-                    threshold = replayed;
-                    version += 1;
-                }
-                WalOp::Observe { label, words } => {
-                    if words.len() != memory.words_per_row() {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries {} example words, the memory packs {}",
-                                entry.seq,
-                                words.len(),
-                                memory.words_per_row()
-                            ),
-                        }));
-                    }
-                    let Some(current) = memory.class_words(label).map(<[u64]>::to_vec) else {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} observes unregistered class `{label}`",
-                                entry.seq
-                            ),
-                        }));
-                    };
-                    fold_observation(
-                        &mut stream.accumulators,
-                        label,
-                        words,
-                        &current,
-                        memory.dim(),
-                    );
-                    stream.pending.insert(label.clone());
-                    stream.since_publish += 1;
-                    stream.observes += 1;
-                    if stream.since_publish >= u64::from(stream.publish_every) {
-                        let rows = resign_pending(&stream.accumulators, &stream.pending);
-                        apply_stream_publish(&mut memory, &mut routed, &mut stream.drift, &rows);
-                        stream.pending.clear();
-                        stream.since_publish = 0;
-                        version += 1;
-                    }
-                }
-                WalOp::Flush => {
-                    if !stream.pending.is_empty() {
-                        let rows = resign_pending(&stream.accumulators, &stream.pending);
-                        apply_stream_publish(&mut memory, &mut routed, &mut stream.drift, &rows);
-                        stream.pending.clear();
-                        stream.since_publish = 0;
-                        version += 1;
-                    }
-                }
-            }
+            let op = Mutation::decode(entry.op, schema)?;
+            state.check(&op).map_err(|e| WalError::Corrupt {
+                offset: entry.end_offset,
+                reason: format!("record {} cannot apply: {e}", entry.seq),
+            })?;
+            state.apply(op);
             replayed_records += 1;
         }
-        if memory.is_empty() {
+        if state.snapshot.memory.is_empty() {
             return Err(ServeError::InvalidConfig(
                 "recovered state has no registered classes".to_string(),
             ));
         }
-        if let (Some(rc), None) = (config.routed, routed.as_ref()) {
-            routed = Some(routed_from_sharded(&memory, rc, config.threads));
+        if let (Some(rc), None) = (config.routed, &state.snapshot.routed) {
+            let snapshot = Arc::make_mut(&mut state.snapshot);
+            snapshot.routed = Some(routed_from_sharded(&snapshot.memory, rc, config.threads));
         }
-        let attribute_dim = model.attribute_encoder().num_attributes();
         let report = RecoveryReport {
-            snapshot_version: version,
+            snapshot_version: state.snapshot.version,
             replayed_records,
-            torn_tail: replay.torn_tail.is_some(),
+            torn_tail,
         };
-        let durable = DurableState {
-            wal: log,
-            dir: durability.dir,
-            schema: schema.clone(),
-            compact_every: durability.compact_every,
-            since_compact: replayed_records,
-        };
-        Ok((
-            Self::start_with_parts(
-                model,
-                memory,
-                routed,
-                threshold,
-                attribute_dim,
-                config,
-                version,
-                Some(durable),
-                stream,
-            ),
-            report,
-        ))
+        let durable = DurableState::new(log, durability, schema, replayed_records);
+        Ok((Self::spawn(state, config, Some(durable)), report))
     }
 
     /// Starts a server from a saved [`hdc_zsc::Checkpoint`]: the
@@ -1059,7 +1198,8 @@ impl QueryServer {
     ) -> Result<Self, ServeError> {
         let threshold = checkpoint.calibration.as_ref().map(|c| c.threshold);
         let model = checkpoint.into_frozen(schema)?;
-        Self::start_with_threshold(model, labels, class_attributes, config, threshold)
+        let state = ServeState::initial(model, labels, class_attributes, &config, threshold)?;
+        Ok(Self::spawn(state, config, None))
     }
 
     /// Width of the backbone feature rows the server expects.
@@ -1072,10 +1212,7 @@ impl QueryServer {
     /// [`QueryServer::update_class`]). Tracks the serving model across
     /// [`QueryServer::swap_model`].
     pub fn attribute_dim(&self) -> usize {
-        self.control
-            .lock()
-            .expect("control mutex poisoned")
-            .attribute_dim
+        self.snapshot().model.attribute_encoder().num_attributes()
     }
 
     /// Batching and hot-swap counters observed so far.
@@ -1112,7 +1249,8 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::DuplicateLabel`] when `label` is already
-    /// registered, [`ServeError::AttributeWidth`] for a mis-sized attribute
+    /// registered, [`ServeError::AttributeWidth`] /
+    /// [`ServeError::NonFinite`] for a mis-sized or non-finite attribute
     /// row, and [`ServeError::Wal`] when a durable server cannot log the
     /// mutation (nothing is published then).
     pub fn register_class(
@@ -1120,12 +1258,8 @@ impl QueryServer {
         label: impl Into<String>,
         attributes: &[f32],
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let mut control = self.control.lock().expect("control mutex poisoned");
         let label = label.into();
-        if self.snapshot().memory.contains(&label) {
-            return Err(ServeError::DuplicateLabel(label));
-        }
-        self.register_locked(&mut control, label, attributes, false)
+        self.commit_class(attributes, |words| WalOp::Register { label, words })
     }
 
     /// Replaces the attribute row of an *already registered* class; see
@@ -1137,82 +1271,38 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownClass`] when `label` is not registered,
-    /// [`ServeError::AttributeWidth`] for a mis-sized row, and
-    /// [`ServeError::Wal`] when a durable server cannot log the mutation.
+    /// [`ServeError::AttributeWidth`] / [`ServeError::NonFinite`] for a
+    /// mis-sized or non-finite row, and [`ServeError::Wal`] when a durable
+    /// server cannot log the mutation.
     pub fn update_class(
         &self,
         label: &str,
         attributes: &[f32],
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        if !self.snapshot().memory.contains(label) {
-            return Err(ServeError::UnknownClass(label.to_string()));
-        }
-        self.register_locked(&mut control, label.to_string(), attributes, true)
+        self.commit_class(attributes, |words| WalOp::Update {
+            label: label.to_string(),
+            words,
+        })
     }
 
-    /// The shared register/update body; the caller must hold the control
-    /// mutex (and have done the existence check for its verb) so checks,
-    /// encoding, the WAL append, and the publish are atomic with respect to
-    /// every other mutation.
-    ///
-    /// Validation-before-derivation: the attribute-width check runs before
-    /// the signature is encoded and before any snapshot state is cloned, so
-    /// a rejected request costs nothing but the check. Encoding runs through
-    /// the serving snapshot's shared [`FrozenModel`] — one attribute-encoder
-    /// forward, zero weight copies. On a durable server the record is
-    /// appended (and synced per policy) *before* the snapshot is published:
-    /// an append failure rejects the mutation with nothing changed.
-    fn register_locked(
+    /// The shared register/update body: validates the attribute row before
+    /// anything is encoded, encodes it through the serving snapshot's shared
+    /// [`FrozenModel`] — one attribute-encoder forward, zero weight copies —
+    /// and commits the record `op` builds from the packed signature.
+    fn commit_class(
         &self,
-        control: &mut ControlPlane,
-        label: String,
         attributes: &[f32],
-        is_update: bool,
+        op: impl FnOnce(Vec<u64>) -> WalOp,
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        if attributes.len() != control.attribute_dim {
-            return Err(ServeError::AttributeWidth {
-                expected: control.attribute_dim,
-                found: attributes.len(),
-            });
-        }
-        let signature = self.snapshot().model.packed_class_signature(attributes);
-        if let Some(durable) = control.durable.as_mut() {
-            let op = if is_update {
-                WalOp::Update {
-                    label: label.clone(),
-                    words: signature.clone(),
-                }
-            } else {
-                WalOp::Register {
-                    label: label.clone(),
-                    words: signature.clone(),
-                }
-            };
-            durable.wal.append(&op)?;
-        }
-        // A re-pointed class's stream counters described the prototype that
-        // is being replaced; drop them so the next observe re-seeds from the
-        // new row. A fresh register has no counters — this is a no-op.
-        control.stream.accumulators.remove(&label);
-        control.stream.pending.remove(&label);
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            memory.add_class_packed(label.clone(), &signature);
-            let routed = snapshot.routed.clone().map(|mut routed| {
-                routed.add_class_packed(label, &signature);
-                routed
-            });
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
-        });
-        self.maybe_compact(control, &published)?;
-        Ok(published)
+        let mut control = self.control.lock().expect("control mutex poisoned");
+        let model = &control.state.snapshot.model;
+        check_attributes(
+            attributes.len(),
+            model.attribute_encoder().num_attributes(),
+            attributes,
+        )?;
+        let words = model.packed_class_signature(attributes);
+        self.commit_publishing(&mut control, Mutation::Logged(op(words)))
     }
 
     /// Unregisters a class, atomically publishing a snapshot without it;
@@ -1225,44 +1315,9 @@ impl QueryServer {
     /// server with no classes at all, and [`ServeError::Wal`] when a
     /// durable server cannot log the removal (nothing is published then).
     pub fn remove_class(&self, label: &str) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        {
-            let current = self.snapshot();
-            if !current.memory.contains(label) {
-                return Err(ServeError::UnknownClass(label.to_string()));
-            }
-            if current.memory.len() == 1 {
-                return Err(ServeError::InvalidConfig(
-                    "cannot remove the last registered class".to_string(),
-                ));
-            }
-        }
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Remove {
-                label: label.to_string(),
-            })?;
-        }
-        // Every stream trace of the class goes with it.
-        control.stream.accumulators.remove(label);
-        control.stream.pending.remove(label);
-        control.stream.drift.remove(label);
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            memory.remove_class(label);
-            let routed = snapshot.routed.clone().map(|mut routed| {
-                routed.remove_class(label);
-                routed
-            });
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+        self.commit_record(WalOp::Remove {
+            label: label.to_string(),
+        })
     }
 
     /// Replaces the entire serving state — model and class set — with one
@@ -1272,16 +1327,16 @@ impl QueryServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::AttributeWidth`] when the matrix width does not
-    /// match the new model's attribute encoder, and
-    /// [`ServeError::InvalidConfig`] when the labels and matrix do not line
-    /// up, the class set is empty, or the new model expects a different
-    /// backbone feature width than the server was started with (in-flight
-    /// and future callers would be rejected by the width check). A durable
-    /// server additionally rejects models whose attribute space no longer
-    /// matches the schema pinned at startup, and reports
-    /// [`ServeError::Wal`] when the swap cannot be logged (nothing is
-    /// published then).
+    /// Returns [`ServeError::AttributeWidth`] / [`ServeError::NonFinite`]
+    /// when the matrix does not fit the new model's attribute encoder or
+    /// carries a non-finite value, and [`ServeError::InvalidConfig`] when the
+    /// labels and matrix do not line up, the class set is empty, or the new
+    /// model expects a different backbone feature width than the server was
+    /// started with (in-flight and future callers would be rejected by the
+    /// width check). A durable server additionally rejects models whose
+    /// attribute space no longer matches the schema pinned at startup, and
+    /// reports [`ServeError::Wal`] when the swap cannot be logged (nothing
+    /// is published then).
     pub fn swap_model(
         &self,
         model: impl Into<FrozenModel>,
@@ -1289,80 +1344,24 @@ impl QueryServer {
         class_attributes: &Matrix,
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
         let model: FrozenModel = model.into();
-        if labels.len() != class_attributes.rows() {
-            return Err(ServeError::InvalidConfig(format!(
-                "{} labels for {} class-attribute rows",
-                labels.len(),
-                class_attributes.rows()
-            )));
-        }
-        if class_attributes.rows() == 0 {
-            return Err(ServeError::InvalidConfig(
-                "cannot serve an empty class set".to_string(),
-            ));
-        }
-        if model.image_encoder().feature_dim() != self.shared.feature_dim {
-            return Err(ServeError::InvalidConfig(format!(
-                "swapped model expects feature width {}, the server serves {}",
-                model.image_encoder().feature_dim(),
-                self.shared.feature_dim
-            )));
-        }
         // Validated before the control mutex is taken: the attribute encoder
-        // asserts this width, and a panic while holding the lock would
+        // asserts the row width, and a panic while holding the lock would
         // poison the whole mutation plane.
-        let expected_attributes = model.attribute_encoder().num_attributes();
-        if class_attributes.cols() != expected_attributes {
-            return Err(ServeError::AttributeWidth {
-                expected: expected_attributes,
-                found: class_attributes.cols(),
-            });
-        }
+        validate_class_set(&model, &labels, class_attributes)?;
         let mut control = self.control.lock().expect("control mutex poisoned");
         if let Some(durable) = control.durable.as_ref() {
-            if expected_attributes != durable.schema.num_attributes() {
+            let encoded = model.attribute_encoder().num_attributes();
+            if encoded != durable.schema.num_attributes() {
                 return Err(ServeError::InvalidConfig(format!(
                     "swapped model encodes {} attributes, the durable schema pins {}",
-                    expected_attributes,
+                    encoded,
                     durable.schema.num_attributes()
                 )));
             }
         }
-        let (shards, threads, routed_config) = {
-            let current = self.snapshot();
-            (
-                current.memory.num_shards(),
-                current.memory.threads(),
-                current.routed.as_ref().map(|r| r.config()),
-            )
-        };
-        let memory = model
-            .sharded_class_memory(labels, class_attributes, shards)
-            .with_threads(threads);
-        let routed = routed_config.map(|rc| routed_from_sharded(&memory, rc, threads));
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Swap {
-                checkpoint_json: Checkpoint::capture(&model, &durable.schema).to_json(),
-                memory: memory.clone(),
-            })?;
-        }
-        control.attribute_dim = class_attributes.cols();
-        // A swap replaces the whole class set: stream counters, pending
-        // publications, and drift history all described the old one.
-        // Recovery replays swap records with the same reset.
-        control.stream = StreamControl::fresh(memory.dim(), control.stream.publish_every);
-        // The threshold survives the swap: it is serve-time control state
-        // (set/cleared through its own verb), not a property of the model
-        // being rolled out. Recovery replays swap records the same way.
-        let published = self.publish(move |snapshot| ModelSnapshot {
-            version: snapshot.version + 1,
-            model,
-            memory,
-            routed,
-            threshold: snapshot.threshold,
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+        let shards = control.state.snapshot.memory.num_shards();
+        let memory = model.sharded_class_memory(labels, class_attributes, shards);
+        self.commit_publishing(&mut control, Mutation::Swap { model, memory })
     }
 
     /// Sets the open-set rejection threshold, atomically publishing a
@@ -1383,12 +1382,9 @@ impl QueryServer {
     /// [`ServeError::Wal`] when a durable server cannot log the change
     /// (nothing is published then).
     pub fn set_threshold(&self, threshold: f32) -> Result<Arc<ModelSnapshot>, ServeError> {
-        if !threshold.is_finite() {
-            return Err(ServeError::InvalidConfig(format!(
-                "rejection threshold must be finite, got {threshold}"
-            )));
-        }
-        self.store_threshold(Some(threshold))
+        self.commit_record(WalOp::SetThreshold {
+            bits: Some(threshold.to_bits()),
+        })
     }
 
     /// Clears the open-set rejection threshold, atomically publishing a
@@ -1400,27 +1396,7 @@ impl QueryServer {
     /// Returns [`ServeError::Wal`] when a durable server cannot log the
     /// change (nothing is published then).
     pub fn clear_threshold(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
-        self.store_threshold(None)
-    }
-
-    /// The shared set/clear body: WAL-append first (durable servers), then
-    /// one atomic publish, under the control mutex like every mutation.
-    fn store_threshold(&self, threshold: Option<f32>) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::SetThreshold {
-                bits: threshold.map(f32::to_bits),
-            })?;
-        }
-        let published = self.publish(|snapshot| ModelSnapshot {
-            version: snapshot.version + 1,
-            model: snapshot.model.clone(),
-            memory: snapshot.memory.clone(),
-            routed: snapshot.routed.clone(),
-            threshold,
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+        self.commit_record(WalOp::SetThreshold { bits: None })
     }
 
     /// Folds one **streamed labeled example** into `label`'s exact
@@ -1446,58 +1422,31 @@ impl QueryServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::FeatureWidth`] for a mis-sized feature row,
-    /// [`ServeError::UnknownClass`] when `label` is not registered (streams
-    /// refine existing classes; register first), and [`ServeError::Wal`]
-    /// when a durable server cannot log the observation (nothing is folded
-    /// then).
+    /// Returns [`ServeError::FeatureWidth`] / [`ServeError::NonFinite`] for
+    /// a mis-sized or non-finite feature row, [`ServeError::UnknownClass`]
+    /// when `label` is not registered (streams refine existing classes;
+    /// register first), and [`ServeError::Wal`] when a durable server
+    /// cannot log the observation (nothing is folded then).
     pub fn observe(
         &self,
         label: &str,
         features: &[f32],
     ) -> Result<Option<Arc<ModelSnapshot>>, ServeError> {
-        if features.len() != self.shared.feature_dim {
-            return Err(ServeError::FeatureWidth {
-                expected: self.shared.feature_dim,
-                found: features.len(),
-            });
-        }
+        self.check_features(features)?;
         let mut control = self.control.lock().expect("control mutex poisoned");
-        let snapshot = self.snapshot();
-        let Some(current) = snapshot.memory.class_words(label).map(<[u64]>::to_vec) else {
-            return Err(ServeError::UnknownClass(label.to_string()));
-        };
         // Encode through the serving snapshot's shared model — the same
         // embed-then-sign path queries take, zero weight copies.
-        let embedding = snapshot
+        let embedding = control
+            .state
+            .snapshot
             .model
             .embed_images(&Matrix::from_rows(&[features.to_vec()]));
         let words = engine::pack_float_signs(embedding.row(0));
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Observe {
-                label: label.to_string(),
-                words: words.clone(),
-            })?;
-        }
-        let stream = &mut control.stream;
-        fold_observation(
-            &mut stream.accumulators,
-            label,
-            &words,
-            &current,
-            snapshot.memory.dim(),
-        );
-        stream.pending.insert(label.to_string());
-        stream.since_publish += 1;
-        stream.observes += 1;
-        if stream.since_publish >= u64::from(stream.publish_every) {
-            return self.publish_pending_locked(&mut control).map(Some);
-        }
-        // No publication, but the WAL grew by one record: keep the
-        // compaction cadence honest. A base written mid-batch carries the
-        // exact counters and batching position, so this is safe.
-        self.maybe_compact(&mut control, &snapshot)?;
-        Ok(None)
+        let op = WalOp::Observe {
+            label: label.to_string(),
+            words,
+        };
+        self.commit(&mut control, Mutation::Logged(op))
     }
 
     /// Publishes every pending streamed-class update right now, without
@@ -1516,50 +1465,69 @@ impl QueryServer {
     /// boundary (nothing is published then).
     pub fn flush(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        if control.stream.pending.is_empty() {
-            return Ok(self.snapshot());
+        if control.state.stream.pending.is_empty() {
+            return Ok(Arc::clone(&control.state.snapshot));
         }
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Flush)?;
-        }
-        self.publish_pending_locked(&mut control)
+        self.commit_publishing(&mut control, Mutation::Logged(WalOp::Flush))
     }
 
-    /// One publication boundary: re-sign every pending class, score its
-    /// displacement through the drift detector, publish one snapshot, and
-    /// reset the batching position. The caller must hold the control mutex
-    /// and have logged whatever record marks this boundary.
-    fn publish_pending_locked(
+    /// Commits a mutation that needs nothing encoded first.
+    fn commit_record(&self, op: WalOp) -> Result<Arc<ModelSnapshot>, ServeError> {
+        let mut control = self.control.lock().expect("control mutex poisoned");
+        self.commit_publishing(&mut control, Mutation::Logged(op))
+    }
+
+    /// [`QueryServer::commit`] for the mutations that always publish.
+    fn commit_publishing(
         &self,
         control: &mut ControlPlane,
+        op: Mutation,
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let stream = &mut control.stream;
-        let rows = resign_pending(&stream.accumulators, &stream.pending);
-        let drift = &mut stream.drift;
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            let mut routed = snapshot.routed.clone();
-            apply_stream_publish(&mut memory, &mut routed, drift, &rows);
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
+        Ok(self
+            .commit(control, op)?
+            .expect("only an observe inside a batch publishes nothing"))
+    }
+
+    /// The one path every live mutation takes: check, WAL-append (durable
+    /// servers; synced per policy, so an append failure rejects the
+    /// mutation with nothing changed), apply, publish, and count the record
+    /// towards compaction. The caller holds the control mutex, so versions
+    /// are strictly ordered and the log holds mutations in the order they
+    /// applied. Returns the published snapshot, if the mutation published.
+    fn commit(
+        &self,
+        control: &mut ControlPlane,
+        op: Mutation,
+    ) -> Result<Option<Arc<ModelSnapshot>>, ServeError> {
+        control.state.check(&op)?;
+        if let Some(durable) = control.durable.as_mut() {
+            durable.wal.append(&op.record(&durable.schema))?;
+        }
+        let published = control.state.apply(op).then(|| {
+            let snapshot = Arc::clone(&control.state.snapshot);
+            *self
+                .shared
+                .snapshot
+                .lock()
+                .expect("snapshot mutex poisoned") = Arc::clone(&snapshot);
+            self.shared
+                .stats
+                .lock()
+                .expect("stats mutex poisoned")
+                .swaps += 1;
+            snapshot
         });
-        control.stream.pending.clear();
-        control.stream.since_publish = 0;
-        self.maybe_compact(control, &published)?;
+        if let Some(durable) = control.durable.as_mut() {
+            durable.maybe_compact(&control.state)?;
+        }
         Ok(published)
     }
 
-    /// Streaming continual-learning counters: lifetime observes, the
-    /// batching position, and the drift detector's publication/alarm
-    /// totals.
+    /// Streaming continual-learning counters: observes, the batching
+    /// position, and the drift detector's publication/alarm totals.
     pub fn stream_stats(&self) -> StreamStats {
         let control = self.control.lock().expect("control mutex poisoned");
-        let stream = &control.stream;
+        let stream = &control.state.stream;
         StreamStats {
             observes: stream.observes,
             pending_classes: stream.pending.len() as u64,
@@ -1576,6 +1544,7 @@ impl QueryServer {
         self.control
             .lock()
             .expect("control mutex poisoned")
+            .state
             .stream
             .drift
             .report()
@@ -1606,85 +1575,12 @@ impl QueryServer {
     /// remain fully replayable in that case.
     pub fn compact(&self) -> Result<bool, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        let ControlPlane {
-            durable, stream, ..
-        } = &mut *control;
+        let ControlPlane { state, durable } = &mut *control;
         let Some(durable) = durable.as_mut() else {
             return Ok(false);
         };
-        let snapshot = self.snapshot();
-        Self::compact_locked(durable, &snapshot, stream.checkpoint())?;
+        durable.compact(state)?;
         Ok(true)
-    }
-
-    /// Counts one logged mutation towards the compaction policy and folds
-    /// the log when it is due. Called with the control mutex held, right
-    /// after `published` was stored.
-    fn maybe_compact(
-        &self,
-        control: &mut ControlPlane,
-        published: &ModelSnapshot,
-    ) -> Result<(), ServeError> {
-        let ControlPlane {
-            durable, stream, ..
-        } = control;
-        let Some(durable) = durable.as_mut() else {
-            return Ok(());
-        };
-        durable.since_compact += 1;
-        if durable.compact_every == 0 || durable.since_compact < durable.compact_every {
-            return Ok(());
-        }
-        Self::compact_locked(durable, published, stream.checkpoint())
-    }
-
-    /// Writes `snapshot` as the new checkpoint-delta base, then rotates the
-    /// log — in that order, so a crash between the two leaves a base whose
-    /// `next_record_seq` simply skips the old log's already-folded records.
-    ///
-    /// `stream` captures the continual-learning counters and batching
-    /// position at the same instant, so a base written mid-batch still
-    /// recovers counter-exactly.
-    fn compact_locked(
-        durable: &mut DurableState,
-        snapshot: &ModelSnapshot,
-        stream: Option<StreamCheckpoint>,
-    ) -> Result<(), ServeError> {
-        CheckpointDelta {
-            snapshot_version: snapshot.version,
-            next_record_seq: durable.wal.next_seq(),
-            base: Checkpoint::capture(&snapshot.model, &durable.schema),
-            memory: snapshot.memory.clone(),
-            routed: snapshot.routed.clone(),
-            threshold: snapshot.threshold,
-            stream,
-        }
-        .save_json(wal::base_path(&durable.dir))?;
-        durable.wal.rotate()?;
-        durable.since_compact = 0;
-        Ok(())
-    }
-
-    /// Builds the next snapshot from the current one and stores it; the
-    /// caller must hold the control mutex so versions are strictly ordered.
-    fn publish<F>(&self, next: F) -> Arc<ModelSnapshot>
-    where
-        F: FnOnce(&ModelSnapshot) -> ModelSnapshot,
-    {
-        let mut slot = self
-            .shared
-            .snapshot
-            .lock()
-            .expect("snapshot mutex poisoned");
-        let swapped = Arc::new(next(&slot));
-        *slot = Arc::clone(&swapped);
-        drop(slot);
-        self.shared
-            .stats
-            .lock()
-            .expect("stats mutex poisoned")
-            .swaps += 1;
-        swapped
     }
 
     /// Submits one backbone-feature row and blocks until its top-k labels
@@ -1748,16 +1644,12 @@ impl QueryServer {
             .collect())
     }
 
-    /// Validates widths, enqueues the owned rows (no further copies — the
-    /// dispatcher moves them out of the queue), and blocks for the results.
+    /// Validates every row, enqueues the owned rows (no further copies —
+    /// the dispatcher moves them out of the queue), and blocks for the
+    /// results.
     fn enqueue(&self, rows: Vec<Vec<f32>>) -> Result<Vec<ServedResult>, ServeError> {
         for row in &rows {
-            if row.len() != self.shared.feature_dim {
-                return Err(ServeError::FeatureWidth {
-                    expected: self.shared.feature_dim,
-                    found: row.len(),
-                });
-            }
+            self.check_features(row)?;
         }
         let mut receivers = Vec::with_capacity(rows.len());
         {
@@ -1779,6 +1671,18 @@ impl QueryServer {
             .into_iter()
             .map(|rx| rx.recv().map_err(|_| ServeError::Stopped))
             .collect()
+    }
+
+    /// The ingress check of every feature row, queried or observed: the
+    /// server's width, and finite values only.
+    fn check_features(&self, row: &[f32]) -> Result<(), ServeError> {
+        if row.len() != self.shared.feature_dim {
+            return Err(ServeError::FeatureWidth {
+                expected: self.shared.feature_dim,
+                found: row.len(),
+            });
+        }
+        check_finite(row, "feature")
     }
 
     /// Stops the server, draining first: queries already admitted are still
@@ -1823,10 +1727,8 @@ impl Drop for QueryServer {
 /// The canonical routed-index build for a freshly (re)built sharded memory:
 /// feed the memory's classes in its own deterministic label order, then run
 /// one seeded clustering over the final set. A pure function of the
-/// memory's contents and `config`, shared by the constructors,
-/// [`QueryServer::swap_model`], *and* WAL replay of swap records — which is
-/// what makes a recovered routed index bit-identical to the one the
-/// pre-crash server published.
+/// memory's contents and `config`, shared by the constructors, the swap
+/// transition, and the post-recovery rebuild.
 fn routed_from_sharded(
     memory: &ShardedClassMemory,
     config: RoutedConfig,
@@ -1866,9 +1768,6 @@ fn unpack_words(words: &[u64], dim: usize) -> Vec<i8> {
 /// stream refines the existing class instead of restarting it from scratch;
 /// replay reproduces the seeding deterministically because the replayed
 /// memory holds the same prototype at the same record position.
-///
-/// Shared verbatim by the live observe path and WAL replay — which is what
-/// makes recovered counters bit-identical.
 fn fold_observation(
     accumulators: &mut ClassAccumulator,
     label: &str,
@@ -1916,45 +1815,14 @@ fn normalized_displacement(old: &[u64], new: &[u64], dim: usize) -> f64 {
     f64::from(differing) / dim as f64
 }
 
-/// Applies one publication boundary to a memory (and routed index): per
-/// pending class, scores the prototype displacement through the drift
-/// detector, then writes the re-signed row. A Page–Hinkley alarm on any
-/// class triggers one deterministic recluster of the routed index — the
-/// serving response to detected concept drift. Returns whether any class
-/// alarmed.
-///
-/// Shared verbatim by the live publish path and WAL replay.
-fn apply_stream_publish(
-    memory: &mut ShardedClassMemory,
-    routed: &mut Option<RoutedClassMemory>,
-    drift: &mut StreamDriftDetector,
-    rows: &[(String, Vec<u64>)],
-) -> bool {
-    let dim = memory.dim();
-    let mut alarmed = false;
-    for (label, words) in rows {
-        let displacement = memory
-            .class_words(label)
-            .map(|old| normalized_displacement(old, words, dim))
-            .unwrap_or(1.0);
-        if drift.record(label, displacement) {
-            alarmed = true;
-        }
-        memory.add_class_packed(label.clone(), words);
-        if let Some(routed) = routed.as_mut() {
-            routed.add_class_packed(label.clone(), words);
-        }
-    }
-    if alarmed {
-        if let Some(routed) = routed.as_mut() {
-            routed.recluster();
-        }
-    }
-    alarmed
-}
-
-/// The label/matrix agreement checks shared by every constructor.
-fn validate_class_set(labels: &[String], class_attributes: &Matrix) -> Result<(), ServeError> {
+/// The class-set checks shared by every constructor and
+/// [`QueryServer::swap_model`]: one label per row, at least one class, and
+/// rows that fit `model`'s attribute encoder.
+fn validate_class_set(
+    model: &FrozenModel,
+    labels: &[String],
+    class_attributes: &Matrix,
+) -> Result<(), ServeError> {
     if labels.len() != class_attributes.rows() {
         return Err(ServeError::InvalidConfig(format!(
             "{} labels for {} class-attribute rows",
@@ -1967,7 +1835,34 @@ fn validate_class_set(labels: &[String], class_attributes: &Matrix) -> Result<()
             "cannot serve an empty class set".to_string(),
         ));
     }
-    Ok(())
+    check_attributes(
+        class_attributes.cols(),
+        model.attribute_encoder().num_attributes(),
+        class_attributes.as_slice(),
+    )
+}
+
+/// The ingress check of class-attribute rows `width` wide: the encoder's
+/// width, and finite values only.
+fn check_attributes(width: usize, expected: usize, values: &[f32]) -> Result<(), ServeError> {
+    if width != expected {
+        return Err(ServeError::AttributeWidth {
+            expected,
+            found: width,
+        });
+    }
+    check_finite(values, "class-attribute")
+}
+
+/// Rejects NaN and infinities. Wire JSON `null` decodes to NaN, and
+/// sign-packing reads NaN as +1, so an unchecked row would silently fold
+/// an all-positive example into a class's exact counters.
+fn check_finite(values: &[f32], what: &'static str) -> Result<(), ServeError> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(ServeError::NonFinite { what })
+    }
 }
 
 /// The [`ServerConfig`] sanity checks shared by every constructor.

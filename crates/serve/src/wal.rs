@@ -3,12 +3,12 @@
 //!
 //! Every mutation accepted by a durable
 //! [`QueryServer`](crate::QueryServer) — register / update / remove /
-//! swap — is appended here **before** the new snapshot is published, so the
-//! log plus the latest [`CheckpointDelta`](hdc_zsc::CheckpointDelta)
-//! compaction base always reconstruct the exact pre-crash
-//! [`ShardedClassMemory`]: recovery loads the
-//! base, replays the WAL suffix (`seq >= next_record_seq`), and serves
-//! bit-identical results.
+//! swap / threshold / observe / flush — is appended here **before** the new
+//! snapshot is published, so the log plus the latest
+//! [`CheckpointDelta`](hdc_zsc::CheckpointDelta) compaction base always
+//! reconstruct the exact pre-crash serving state: recovery loads the base,
+//! folds the server's own mutation state machine over the WAL suffix
+//! (`seq >= next_record_seq`), and serves bit-identical results.
 //!
 //! # On-disk format
 //!

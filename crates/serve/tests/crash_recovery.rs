@@ -5,17 +5,22 @@
 //! was serving after exactly that prefix of mutations — same snapshot
 //! version, same labels, same top-k bits.
 //!
-//! The deterministic test drives a full lifecycle (register / update /
-//! remove / swap, across a compaction boundary) and recovers it; the
-//! property test generates arbitrary mutation interleavings from a seeded
-//! LCG, cuts the log at an arbitrary boundary, and checks the recovered
-//! state against the live snapshot timeline the server itself published.
+//! The deterministic tests drive full lifecycles (register / update /
+//! remove / swap, streams, across compaction boundaries) and recover them;
+//! the property tests generate arbitrary mutation interleavings from a
+//! seeded LCG — classic mutations, and a wider set adding thresholds,
+//! flushes, batched observes and routed serving — cut the log at an
+//! arbitrary record boundary, and check the recovered state (snapshot,
+//! routed index, threshold, stream counters, drift history) against the
+//! live timeline the server itself went through.
 
 use dataset::AttributeSchema;
 use hdc_zsc::{ModelConfig, ZscModel};
+use metrics::DriftReport;
 use proptest::prelude::*;
 use serve::{
-    wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, SyncPolicy,
+    wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, StreamStats,
+    SyncPolicy,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -520,68 +525,312 @@ fn kill_and_recover_resumes_the_exact_stream_position() {
     );
 }
 
-/// One step of the property test's mutation script. Returns the published
-/// snapshot; the script is a pure function of the LCG state, so the same
-/// seed always produces the same server history.
+/// Drift history survives compaction. A routed server streams one concept
+/// into every class, compacts, then streams the negated concept: the
+/// Page–Hinkley alarms that re-cluster the routed index must fire at the
+/// same publications on the recovered server as on the one that
+/// acknowledged the stream, so the base has to carry the drift detector —
+/// a detector restarted at the base alarms elsewhere and re-clusters a
+/// different index.
+#[test]
+fn drift_history_survives_a_mid_stream_compaction() {
+    let dir = temp_dir("drift");
+    let a = alpha();
+    let config = ServerConfig {
+        routed: Some(engine::RoutedConfig {
+            nprobe: 1,
+            ..engine::RoutedConfig::default()
+        }),
+        publish_every: 1,
+        ..config()
+    };
+    let labels: Vec<String> = (0..16).map(|c| format!("class{c}")).collect();
+    let mut lcg = Lcg(31);
+    let class_attributes = Matrix::from_rows(&(0..16).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let concept: Vec<Vec<f32>> = (0..16).map(|_| feature_row(&mut lcg)).collect();
+    let server = QueryServer::start_durable(
+        model(17),
+        labels.clone(),
+        &class_attributes,
+        &schema(),
+        config,
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            compact_every: 0,
+        },
+    )
+    .expect("durable routed server starts");
+    let mut stream = |server: &QueryServer, sign: f32| {
+        for i in 0..60 {
+            let c = i % 16;
+            let row: Vec<f32> = concept[c]
+                .iter()
+                .map(|x| sign * x + 0.2 * (lcg.unit_f32() - 0.5))
+                .collect();
+            server.observe(&labels[c], &row).expect("observe");
+        }
+    };
+    stream(&server, 1.0);
+    assert!(server.compact().expect("compacts"));
+    stream(&server, -1.0);
+    let expected = server.snapshot();
+    let expected_drift = server.drift_report();
+    assert!(expected_drift.alarms > 0, "the negated concept must alarm");
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config, DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(report.replayed_records, 60);
+    let snapshot = recovered.snapshot();
+    assert_eq!(
+        snapshot.routed(),
+        expected.routed(),
+        "recovered routed index diverged"
+    );
+    assert_eq!(recovered.drift_report(), expected_drift);
+    assert_snapshots_match(&snapshot, &expected, "post-compaction drift recovery");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a property-test script draws and which server it drives.
+#[derive(Debug, Clone, Copy)]
+enum Script {
+    /// Register / update / remove / swap plus observes that each publish
+    /// (`publish_every: 1`), on an exhaustive server.
+    Classic,
+    /// Adds threshold set/clear and explicit flushes, batches observes
+    /// three per publication (so some observes publish nothing), and
+    /// optionally serves through a routed index.
+    Batched {
+        /// Serve through a partially-probing routed index.
+        routed: bool,
+    },
+}
+
+impl Script {
+    fn config(self) -> ServerConfig {
+        match self {
+            Script::Classic => config(),
+            Script::Batched { routed } => ServerConfig {
+                publish_every: 3,
+                routed: routed.then(|| engine::RoutedConfig {
+                    clusters: 2,
+                    nprobe: 1,
+                    ..engine::RoutedConfig::default()
+                }),
+                ..config()
+            },
+        }
+    }
+}
+
+/// One step of the property test's mutation script; returns whether it
+/// logged a WAL record (a flush with nothing pending logs nothing). The
+/// script is a pure function of the LCG state, so the same seed always
+/// produces the same server history.
 fn apply_scripted_op(
     server: &QueryServer,
     lcg: &mut Lcg,
     live: &mut Vec<String>,
     fresh: &mut usize,
-) -> Arc<ModelSnapshot> {
+    script: Script,
+) -> bool {
     let a = alpha();
-    let kind = lcg.next() % 10;
+    let kind = match script {
+        Script::Classic => lcg.next() % 10,
+        Script::Batched { .. } => lcg.next() % 13,
+    };
     match kind {
         // Streamed observes ride the same WAL as classic mutations; the
-        // script's `publish_every: 1` makes each one publish immediately.
-        8 | 9 => {
+        // classic script's `publish_every: 1` makes each one publish.
+        8 | 9 | 12 => {
             let target = live[(lcg.next() as usize) % live.len()].clone();
-            server
+            let published = server
                 .observe(&target, &feature_row(lcg))
-                .expect("scripted observe")
-                .expect("publish_every=1 publishes every observe")
+                .expect("scripted observe");
+            if matches!(script, Script::Classic) {
+                assert!(
+                    published.is_some(),
+                    "publish_every=1 publishes every observe"
+                );
+            }
         }
         // Otherwise, classic mutations; registers dominate so the set grows.
         0..=3 => {
             let label = format!("dyn{}", *fresh);
             *fresh += 1;
-            let snapshot = server
+            server
                 .register_class(label.clone(), &lcg.attr_row(a))
                 .expect("scripted register");
             live.push(label);
-            snapshot
         }
         4 | 5 => {
             let target = live[(lcg.next() as usize) % live.len()].clone();
             server
                 .update_class(&target, &lcg.attr_row(a))
-                .expect("scripted update")
+                .expect("scripted update");
         }
         6 => {
             if live.len() > 1 {
                 let victim = live.remove((lcg.next() as usize) % live.len());
-                server.remove_class(&victim).expect("scripted remove")
+                server.remove_class(&victim).expect("scripted remove");
             } else {
                 let label = format!("dyn{}", *fresh);
                 *fresh += 1;
-                let snapshot = server
+                server
                     .register_class(label.clone(), &lcg.attr_row(a))
                     .expect("scripted register (remove fallback)");
                 live.push(label);
-                snapshot
             }
+        }
+        10 => {
+            if lcg.next().is_multiple_of(3) {
+                server.clear_threshold().expect("scripted clear_threshold");
+            } else {
+                server
+                    .set_threshold(lcg.unit_f32() - 0.5)
+                    .expect("scripted set_threshold");
+            }
+        }
+        11 => {
+            let pending = server.stream_stats().pending_classes > 0;
+            server.flush().expect("scripted flush");
+            return pending;
         }
         _ => {
             let labels: Vec<String> = (0..3).map(|c| format!("sw{}-{c}", *fresh)).collect();
             *fresh += 1;
             let attrs = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
-            let snapshot = server
+            server
                 .swap_model(model(lcg.next()), labels.clone(), &attrs)
                 .expect("scripted swap");
             *live = labels;
-            snapshot
         }
     }
+    true
+}
+
+/// Everything a cut point must recover: the serving snapshot plus the
+/// stream counters and drift history behind it.
+struct LiveState {
+    snapshot: Arc<ModelSnapshot>,
+    stream: StreamStats,
+    drift: DriftReport,
+}
+
+impl LiveState {
+    fn of(server: &QueryServer) -> Self {
+        Self {
+            snapshot: server.snapshot(),
+            stream: server.stream_stats(),
+            drift: server.drift_report(),
+        }
+    }
+}
+
+/// The body of the prefix-recovery property: runs `op_count` scripted
+/// mutations on a durable server, recording the live state after every
+/// WAL record, cuts the log at the record boundary `cut_sel` selects
+/// (tearing the next append in a third of the cases), and checks that
+/// recovery lands on exactly the live state at that boundary.
+fn recovery_matches_the_live_prefix(seed: u64, op_count: usize, cut_sel: usize, script: Script) {
+    let dir = temp_dir(&format!("prop-{seed}-{op_count}-{cut_sel}-{script:?}"));
+    let a = alpha();
+    let mut lcg = Lcg(seed ^ 0x9e3779b97f4a7c15);
+    let mut live: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
+    let class_attributes = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let server = QueryServer::start_durable(
+        model(seed),
+        live.clone(),
+        &class_attributes,
+        &schema(),
+        script.config(),
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            // Compaction off: the log keeps every record, so any prefix
+            // is a reachable cut point.
+            compact_every: 0,
+        },
+    )
+    .expect("durable server starts");
+
+    // The reference timeline: the live state after 0, 1, … WAL records.
+    let mut timeline = vec![LiveState::of(&server)];
+    let mut fresh = 0usize;
+    for _ in 0..op_count {
+        if apply_scripted_op(&server, &mut lcg, &mut live, &mut fresh, script) {
+            timeline.push(LiveState::of(&server));
+        }
+    }
+    let records = timeline.len() - 1;
+    prop_assert_eq!(
+        server.durability_stats().expect("durable").next_record_seq,
+        records as u64
+    );
+    drop(server); // the crash
+
+    // Cut the log at an arbitrary record boundary.
+    let log_path = wal::wal_path(&dir);
+    let full = wal::replay(&log_path).expect("full log replays");
+    prop_assert_eq!(full.entries.len(), records);
+    let cut = cut_sel % (records + 1);
+    let offset = if cut == 0 {
+        20 // the 20-byte file header: magic + format + first_seq
+    } else {
+        full.entries[cut - 1].end_offset
+    };
+    let bytes = std::fs::read(&log_path).expect("read log");
+    let mut kept = bytes[..offset as usize].to_vec();
+    // In a third of the cases, the crash also tore the next append.
+    let torn = cut_sel.is_multiple_of(3) && cut < records;
+    if torn {
+        let tail_end = (offset as usize + 5).min(bytes.len());
+        kept.extend_from_slice(&bytes[offset as usize..tail_end]);
+    }
+    std::fs::write(&log_path, &kept).expect("write cut log");
+
+    let (recovered, report) = QueryServer::recover(
+        &schema(),
+        script.config(),
+        DurabilityConfig::new(dir.clone()),
+    )
+    .expect("recovers");
+    prop_assert_eq!(report.replayed_records, cut as u64);
+    prop_assert_eq!(report.torn_tail, torn);
+    let context = format!("{script:?}, seed {seed}, {op_count} ops, cut {cut}");
+    let expected = &timeline[cut];
+    let snapshot = recovered.snapshot();
+    assert_snapshots_match(&snapshot, &expected.snapshot, &context);
+    prop_assert_eq!(
+        snapshot.routed(),
+        expected.snapshot.routed(),
+        "{}: routed index diverged",
+        context
+    );
+    prop_assert_eq!(
+        snapshot.threshold().map(f32::to_bits),
+        expected.snapshot.threshold().map(f32::to_bits),
+        "{}: threshold diverged",
+        context
+    );
+    prop_assert_eq!(
+        recovered.stream_stats(),
+        expected.stream,
+        "{}: stream stats diverged",
+        context
+    );
+    prop_assert_eq!(
+        recovered.drift_report(),
+        expected.drift.clone(),
+        "{}: drift report diverged",
+        context
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -596,69 +845,25 @@ proptest! {
         op_count in 1usize..14,
         cut_sel in 0usize..1_000,
     ) {
-        let dir = temp_dir(&format!("prop-{seed}-{op_count}-{cut_sel}"));
-        let a = alpha();
-        let mut lcg = Lcg(seed ^ 0x9e3779b97f4a7c15);
-        let mut live: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
-        let class_attributes = Matrix::from_rows(
-            &(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>(),
+        recovery_matches_the_live_prefix(seed, op_count, cut_sel, Script::Classic);
+    }
+
+    /// The same property over the wider input set: threshold changes,
+    /// flushes, observes batched three per publication, and routed
+    /// serving — recovery must also rebuild the routed index, the
+    /// threshold, the stream counters and the drift history exactly.
+    #[test]
+    fn recovery_at_any_record_boundary_matches_the_live_prefix_batched(
+        seed in 0u64..100_000,
+        op_count in 1usize..14,
+        cut_sel in 0usize..1_000,
+        routed in 0usize..2,
+    ) {
+        recovery_matches_the_live_prefix(
+            seed,
+            op_count,
+            cut_sel,
+            Script::Batched { routed: routed == 1 },
         );
-        let server = QueryServer::start_durable(
-            model(seed),
-            live.clone(),
-            &class_attributes,
-            &schema(),
-            config(),
-            DurabilityConfig {
-                dir: dir.clone(),
-                sync: SyncPolicy::Always,
-                // Compaction off: the log keeps every record, so any prefix
-                // is a reachable cut point.
-                compact_every: 0,
-            },
-        )
-        .expect("durable server starts");
-
-        // The reference timeline: the snapshot the server itself served
-        // after 0, 1, …, op_count mutations.
-        let mut timeline: Vec<Arc<ModelSnapshot>> = vec![server.snapshot()];
-        let mut fresh = 0usize;
-        for _ in 0..op_count {
-            timeline.push(apply_scripted_op(&server, &mut lcg, &mut live, &mut fresh));
-        }
-        drop(server); // the crash
-
-        // Cut the log at an arbitrary record boundary.
-        let log_path = wal::wal_path(&dir);
-        let full = wal::replay(&log_path).expect("full log replays");
-        prop_assert_eq!(full.entries.len(), op_count);
-        let cut = cut_sel % (op_count + 1);
-        let offset = if cut == 0 {
-            20 // the 20-byte file header: magic + format + first_seq
-        } else {
-            full.entries[cut - 1].end_offset
-        };
-        let bytes = std::fs::read(&log_path).expect("read log");
-        let mut kept = bytes[..offset as usize].to_vec();
-        // In a third of the cases, the crash also tore the next append.
-        let torn = cut_sel % 3 == 0 && cut < op_count;
-        if torn {
-            let tail_end = (offset as usize + 5).min(bytes.len());
-            kept.extend_from_slice(&bytes[offset as usize..tail_end]);
-        }
-        std::fs::write(&log_path, &kept).expect("write cut log");
-
-        let (recovered, report) =
-            QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
-                .expect("recovers");
-        prop_assert_eq!(report.replayed_records, cut as u64);
-        prop_assert_eq!(report.torn_tail, torn);
-        assert_snapshots_match(
-            &recovered.snapshot(),
-            &timeline[cut],
-            &format!("seed {seed}, {op_count} ops, cut {cut}"),
-        );
-        drop(recovered);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -392,3 +392,64 @@ fn streamed_observes_over_the_wire() {
     }
     net.shutdown();
 }
+
+/// A JSON `null` inside a feature or attribute row decodes to NaN; every
+/// verb that carries one answers with the typed `non_finite` code, and
+/// nothing is folded or published.
+#[test]
+fn null_elements_are_rejected_with_a_typed_code() {
+    let (server, net, _schema) = start_stack(NetConfig::default());
+    let budget = Duration::from_secs(5);
+    let mut socket = TcpStream::connect(net.local_addr()).expect("connects");
+    socket
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let mut exchange = |payload: &[u8]| {
+        frame::write_frame(&mut socket, payload).expect("writes");
+        loop {
+            match frame::read_frame(&mut socket, budget).expect("reads") {
+                frame::ReadOutcome::Frame(reply) => {
+                    break Response::decode(&reply).expect("decodes")
+                }
+                frame::ReadOutcome::Idle => {}
+                frame::ReadOutcome::Closed => panic!("closed before answering"),
+            }
+        }
+    };
+    let hello = Request::Hello {
+        protocol: wire::PROTOCOL_VERSION,
+    };
+    assert!(matches!(
+        exchange(&hello.encode()),
+        Response::Welcome { .. }
+    ));
+
+    let features = |at: usize| {
+        let mut row = vec!["0.25".to_string(); FEATURE_DIM];
+        row[at] = "null".to_string();
+        format!("[{}]", row.join(","))
+    };
+    let attributes = {
+        let mut row = vec!["0.5".to_string(); 312];
+        row[0] = "null".to_string();
+        format!("[{}]", row.join(","))
+    };
+    for request in [
+        format!(
+            r#"{{"type":"observe","label":"class1","features":{}}}"#,
+            features(5)
+        ),
+        format!(r#"{{"type":"query","features":{}}}"#, features(0)),
+        format!(r#"{{"type":"register_class","label":"nullbird","attributes":{attributes}}}"#),
+        format!(r#"{{"type":"update_class","label":"class2","attributes":{attributes}}}"#),
+    ] {
+        match exchange(request.as_bytes()) {
+            Response::Error { code, .. } => assert_eq!(code, wire::code::NON_FINITE, "{request}"),
+            other => panic!("expected non_finite, got {other:?} for {request}"),
+        }
+    }
+    assert_eq!(server.snapshot().version(), 0, "nothing was published");
+    assert_eq!(server.stream_stats().observes, 0, "nothing was folded");
+    assert!(!server.snapshot().memory().contains("nullbird"));
+    net.shutdown();
+}
