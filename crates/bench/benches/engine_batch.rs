@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the batched inference engine: scalar
-//! one-query-at-a-time cosine scans versus the packed popcount batch path,
-//! across hypervector dimensionalities — the speedup trajectory the CI
-//! perf-smoke job guards.
+//! one-query-at-a-time cosine scans versus the served packed popcount batch
+//! path (a one-shard [`engine::ShardedClassMemory`]), across hypervector
+//! dimensionalities — the speedup trajectory the CI perf-smoke job guards.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{BatchScorer, PackedClassMemory, PackedQueryBatch};
+use engine::{PackedClassMemory, PackedQueryBatch, Scorer, ShardedClassMemory};
 use hdc::BipolarHypervector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,11 +31,11 @@ fn problem(dim: usize) -> Problem {
         .collect();
     let mut memory = PackedClassMemory::new(dim);
     for (c, proto) in prototypes.iter().enumerate() {
-        memory.insert_packed(format!("class{c:03}"), proto.to_binary().words());
+        memory.insert_packed(format!("class{c:03}"), &proto.to_packed());
     }
     let mut batch = PackedQueryBatch::with_capacity(dim, BATCH);
     for q in &queries {
-        batch.push_packed(q.to_binary().words());
+        batch.push_packed(&q.to_packed());
     }
     Problem {
         prototypes,
@@ -70,13 +70,13 @@ fn bench_engine_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar_nearest", dim), &dim, |bench, _| {
             bench.iter(|| black_box(scalar_nearest_batch(&p)))
         });
-        let scorer_1t = BatchScorer::new(&p.memory).with_threads(1);
+        let scorer_1t = ShardedClassMemory::from_packed(&p.memory, 1).with_threads(1);
         group.bench_with_input(
             BenchmarkId::new("packed_nearest_1t", dim),
             &dim,
             |bench, _| bench.iter(|| black_box(scorer_1t.nearest_batch(&p.batch))),
         );
-        let scorer = BatchScorer::new(&p.memory);
+        let scorer = ShardedClassMemory::from_packed(&p.memory, 1);
         group.bench_with_input(
             BenchmarkId::new("packed_nearest_auto", dim),
             &dim,

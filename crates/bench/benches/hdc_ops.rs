@@ -3,7 +3,7 @@
 //! proposes to offload to non-von-Neumann accelerators).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdc::{bundler::bundle_bipolar, BinaryHypervector, BipolarHypervector};
+use hdc::{bundler::bundle_bipolar, BipolarHypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -22,10 +22,9 @@ fn bench_binding(c: &mut Criterion) {
             &dim,
             |bench, _| bench.iter(|| black_box(a.bind(&b))),
         );
-        let ab = a.to_binary();
-        let bb = b.to_binary();
-        group.bench_with_input(BenchmarkId::new("binary_xor", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(ab.bind(&bb)))
+        let (ab, bb) = (a.to_packed(), b.to_packed());
+        group.bench_with_input(BenchmarkId::new("packed_xor", dim), &dim, |bench, _| {
+            bench.iter(|| black_box(ab.iter().zip(&bb).map(|(x, y)| x ^ y).collect::<Vec<u64>>()))
         });
     }
     group.finish();
@@ -41,10 +40,16 @@ fn bench_similarity(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bipolar_cosine", dim), &dim, |bench, _| {
             bench.iter(|| black_box(a.cosine(&b)))
         });
-        let ab = a.to_binary();
-        let bb = b.to_binary();
-        group.bench_with_input(BenchmarkId::new("binary_hamming", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(ab.hamming(&bb)))
+        let (ab, bb) = (a.to_packed(), b.to_packed());
+        group.bench_with_input(BenchmarkId::new("packed_hamming", dim), &dim, |bench, _| {
+            bench.iter(|| {
+                black_box(
+                    ab.iter()
+                        .zip(&bb)
+                        .map(|(x, y)| (x ^ y).count_ones())
+                        .sum::<u32>(),
+                )
+            })
         });
     }
     group.finish();
@@ -65,11 +70,11 @@ fn bench_bundling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_binary_noise(c: &mut Criterion) {
+fn bench_flip_noise(c: &mut Criterion) {
     let mut group = c.benchmark_group("robustness");
     group.sample_size(20);
     let mut rng = StdRng::seed_from_u64(4);
-    let hv = BinaryHypervector::random(2048, &mut rng);
+    let hv = BipolarHypervector::random(2048, &mut rng);
     group.bench_function("flip_noise_10pct_2048", |bench| {
         bench.iter(|| black_box(hv.flip_noise(0.1, &mut rng)))
     });
@@ -81,6 +86,6 @@ criterion_group!(
     bench_binding,
     bench_similarity,
     bench_bundling,
-    bench_binary_noise
+    bench_flip_noise
 );
 criterion_main!(benches);

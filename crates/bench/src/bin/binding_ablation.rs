@@ -93,8 +93,14 @@ fn main() {
     let mut equal = true;
     for &(g, v) in schema.pairs().iter().step_by(13) {
         let bipolar = groups.get(g).bind(values.get(v));
-        let binary = groups.get(g).to_binary().bind(&values.get(v).to_binary());
-        if binary.to_bipolar() != bipolar {
+        let xor: Vec<u64> = groups
+            .get(g)
+            .to_packed()
+            .iter()
+            .zip(values.get(v).to_packed())
+            .map(|(a, b)| a ^ b)
+            .collect();
+        if xor != bipolar.to_packed() {
             equal = false;
         }
     }

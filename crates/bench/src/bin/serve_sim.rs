@@ -6,9 +6,10 @@
 //!
 //! * `scalar` — the pre-engine reference: one query at a time, a scalar
 //!   `i8` cosine scan over every bipolar prototype;
-//! * `batched_1t` — the engine's packed popcount path on a single thread
-//!   (this is what the CI `perf-smoke` floor is asserted against, so the
-//!   gate does not depend on runner core counts);
+//! * `batched_1t` — the served packed popcount path (an
+//!   [`engine::ShardedClassMemory`] of one shard, `nearest_batch`) on a
+//!   single thread (this is what the CI `perf-smoke` floor is asserted
+//!   against, so the gate does not depend on runner core counts);
 //! * `batched` — the same path fanned out over `--threads` threads;
 //! * `sharded` (with `--shards N`) — the same workload through an
 //!   [`engine::ShardedClassMemory`] of `N` shards, the online/mutable
@@ -58,8 +59,7 @@
 
 use dataset::workload::{SyntheticWorkload, WorkloadConfig};
 use engine::{
-    BatchScorer, PackedClassMemory, PackedQueryBatch, RoutedClassMemory, RoutedConfig,
-    ShardedClassMemory,
+    PackedClassMemory, PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory,
 };
 use hdc::BipolarHypervector;
 use rand::rngs::StdRng;
@@ -291,9 +291,10 @@ fn run_routed_tier(config: &Config) {
         .collect();
     let total_queries = workload.queries.len();
 
-    // Exhaustive baseline: the engine's batched popcount sweep, full matrix.
-    let scorer = BatchScorer::new(&memory).with_threads(config.threads);
-    let mut exhaustive_top: Vec<Vec<(usize, f32)>> = Vec::with_capacity(total_queries);
+    // Exhaustive baseline: the served popcount sweep over one shard holding
+    // every class.
+    let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(config.threads);
+    let mut exhaustive_top: Vec<Vec<(&str, f32)>> = Vec::with_capacity(total_queries);
     let mut exhaustive_latencies = Vec::with_capacity(packed_batches.len());
     for batch in &packed_batches {
         let start = Instant::now();
@@ -328,7 +329,7 @@ fn run_routed_tier(config: &Config) {
     let mut overlap_at_10 = 0usize;
     let mut overlap_denominator = 0usize;
     for (ex, ro) in exhaustive_top.iter().zip(&routed_top) {
-        let ex_labels: Vec<&str> = ex.iter().map(|&(c, _)| memory.label(c)).collect();
+        let ex_labels: Vec<&str> = ex.iter().map(|&(label, _)| label).collect();
         if let (Some(first_ex), Some((first_ro, _))) = (ex_labels.first(), ro.first()) {
             if first_ex == first_ro {
                 hits_at_1 += 1;
@@ -441,7 +442,7 @@ fn main() {
         .collect();
     let mut memory = PackedClassMemory::new(config.dim);
     for (c, proto) in prototypes.iter().enumerate() {
-        memory.insert_packed(format!("class{c:04}"), proto.to_binary().words());
+        memory.insert_packed(format!("class{c:04}"), &proto.to_packed());
     }
 
     // Query stream: noisy prototype copies, the realistic cleanup workload.
@@ -453,7 +454,7 @@ fn main() {
         .map(|chunk| {
             let mut batch = PackedQueryBatch::with_capacity(config.dim, chunk.len());
             for q in chunk {
-                batch.push_packed(q.to_binary().words());
+                batch.push_packed(&q.to_packed());
             }
             batch
         })
@@ -478,7 +479,7 @@ fn main() {
 
     // --- batched engine paths ---------------------------------------------
     let run_batched = |threads: usize| -> (Vec<f32>, PathStats) {
-        let scorer = BatchScorer::new(&memory).with_threads(threads);
+        let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(threads);
         let mut best = Vec::with_capacity(queries.len());
         let mut latencies = Vec::with_capacity(packed_batches.len());
         for batch in &packed_batches {
@@ -580,19 +581,16 @@ fn main() {
                 let mut next = (**slot.lock().expect("slot")).clone();
                 match m % 4 {
                     0 | 1 => {
-                        next.add_class_packed(format!("churn{m:05}"), proto.to_binary().words());
+                        next.add_class_packed(format!("churn{m:05}"), &proto.to_packed());
                     }
                     2 => {
                         let label = format!("class{:04}", m % config.classes);
-                        next.add_class_packed(label, proto.to_binary().words());
+                        next.add_class_packed(label, &proto.to_packed());
                     }
                     _ => {
                         let target = format!("churn{:05}", m.saturating_sub(3));
                         if !next.remove_class(&target) {
-                            next.add_class_packed(
-                                format!("churn{m:05}-b"),
-                                proto.to_binary().words(),
-                            );
+                            next.add_class_packed(format!("churn{m:05}-b"), &proto.to_packed());
                         }
                     }
                 }

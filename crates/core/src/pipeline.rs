@@ -242,20 +242,6 @@ pub fn stratified_nozs_split(data: &CubLikeDataset, classes: &[usize]) -> (Vec<u
     (train, eval)
 }
 
-/// Splits a feature/label set into the matrices needed to call the trainers
-/// directly (exposed for the benches and examples that bypass [`Pipeline`]).
-pub fn localise_labels(labels: &[usize], classes: &[usize]) -> (Vec<usize>, usize) {
-    (
-        CubLikeDataset::to_local_labels(labels, classes),
-        classes.len(),
-    )
-}
-
-/// Convenience for harnesses: stack outcomes' top-1 accuracies as a vector.
-pub fn top1_samples(outcomes: &[PipelineOutcome]) -> Vec<f32> {
-    outcomes.iter().map(|o| o.zsc.top1 * 100.0).collect()
-}
-
 /// Re-export of the class-attribute selection used by examples.
 pub fn class_attribute_matrix(data: &CubLikeDataset, classes: &[usize]) -> Matrix {
     data.class_attribute_matrix(classes)
@@ -391,7 +377,6 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         let mean = Pipeline::mean_top1(&outcomes);
         assert!(mean > 0.0);
-        assert_eq!(top1_samples(&outcomes).len(), 3);
         assert_eq!(Pipeline::mean_top1(&[]), 0.0);
     }
 
@@ -400,7 +385,8 @@ mod tests {
         let data = CubLikeDataset::generate(&DatasetConfig::tiny(25));
         let split = data.split(SplitKind::Zs);
         let (_, labels) = data.features_and_labels(split.eval_classes());
-        let (local, count) = localise_labels(&labels, split.eval_classes());
+        let local = CubLikeDataset::to_local_labels(&labels, split.eval_classes());
+        let count = split.eval_classes().len();
         assert_eq!(count, split.eval_classes().len());
         assert!(local.iter().all(|&l| l < count));
         let attr = class_attribute_matrix(&data, split.eval_classes());

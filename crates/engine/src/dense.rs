@@ -25,7 +25,7 @@ pub const COSINE_EPS: f32 = 1e-12;
 /// # Panics
 ///
 /// Panics if `f` returns chunks of differing widths.
-pub fn rowwise_map<F>(a: &Matrix, pool: &Pool, f: F) -> Matrix
+fn rowwise_map<F>(a: &Matrix, pool: &Pool, f: F) -> Matrix
 where
     F: Fn(&Matrix) -> Matrix + Sync,
 {
@@ -68,24 +68,6 @@ pub fn cosine_scores(queries: &Matrix, prototypes: &Matrix, pool: &Pool) -> Matr
         chunk
             .normalize_rows(COSINE_EPS)
             .matmul_nt(&normalized_prototypes)
-    })
-}
-
-/// Bilinear compatibility scores `X·W·Sᵀ` (`B×C`), computed in parallel over
-/// the rows of `features`; bit-identical to
-/// `features.matmul(weights).matmul_nt(signatures)`.
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible.
-pub fn bilinear_scores(
-    features: &Matrix,
-    weights: &Matrix,
-    signatures: &Matrix,
-    pool: &Pool,
-) -> Matrix {
-    rowwise_map(features, pool, |chunk| {
-        chunk.matmul(weights).matmul_nt(signatures)
     })
 }
 
@@ -366,19 +348,6 @@ mod tests {
         let reference = cosine_similarity_matrix(&a, &b);
         for threads in [1usize, 2, 5, 16] {
             let scores = cosine_scores(&a, &b, &Pool::new(threads));
-            assert_eq!(scores.as_slice(), reference.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn bilinear_scores_bit_identical_to_serial_reference() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let x = Matrix::random_uniform(19, 7, 1.0, &mut rng);
-        let w = Matrix::random_uniform(7, 5, 1.0, &mut rng);
-        let s = Matrix::random_uniform(4, 5, 1.0, &mut rng);
-        let reference = x.matmul(&w).matmul_nt(&s);
-        for threads in [1usize, 3, 8] {
-            let scores = bilinear_scores(&x, &w, &s, &Pool::new(threads));
             assert_eq!(scores.as_slice(), reference.as_slice(), "threads={threads}");
         }
     }

@@ -14,19 +14,19 @@
 //!   with copy-on-write `Arc` sharing: incremental `add_class` /
 //!   `update_class` / `remove_class` repack only the touched shard, and the
 //!   cross-shard top-k merge (on integer Hamming distances plus label
-//!   tie-breaks) is bit-identical to the monolithic scorer.
-//!   `hdc::ItemMemory` is built on one and delegates `nearest`/`top_k` to
-//!   it; the `serve` crate hot-swaps snapshots of one under live traffic.
+//!   tie-breaks) is bit-identical to the monolithic scorer. This is the
+//!   scorer the `serve` crate serves: it hot-swaps snapshots of one under
+//!   live traffic, and `nearest_batch` / `topk_batch` chunk a query batch
+//!   across a vendored scoped-thread pool ([`minipool::Pool`]).
 //! * [`RoutedClassMemory`] — a two-level coarse-to-fine index: seeded
 //!   k-means centroids route each query to its `nprobe` nearest clusters
 //!   (each a per-cluster packed shard), and the candidates are exactly
 //!   re-ranked on `(hamming, label)` — sub-linear candidate generation with
 //!   bit-identical results under full probing.
-//! * [`PackedQueryBatch`] + [`BatchScorer`] — batched `score_batch` /
-//!   `nearest_batch` / `topk_batch`, chunked across a vendored
-//!   work-stealing-free scoped-thread pool ([`minipool::Pool`]).
-//! * [`dense`] — row-parallel float scoring (cosine logits, bilinear
-//!   compatibility) used by the `hdc_zsc` model's inference path and the
+//! * [`PackedQueryBatch`] — a batch of packed query rows, the input of
+//!   every batched lookup.
+//! * [`dense`] — row-parallel float scoring (cosine logits, linear
+//!   projections) used by the `hdc_zsc` model's inference path and the
 //!   `baselines` predictors, plus [`DenseClassMemory`], the float-backed
 //!   class memory.
 //! * [`Scorer`] — the one trait unifying all three class-memory backends
@@ -47,7 +47,7 @@
 //! # Example
 //!
 //! ```
-//! use engine::{BatchScorer, PackedClassMemory, PackedQueryBatch};
+//! use engine::{PackedClassMemory, PackedQueryBatch, ShardedClassMemory};
 //!
 //! let mut memory = PackedClassMemory::new(6);
 //! memory.insert_signs("left", &[-1, -1, -1, 1, 1, 1]);
@@ -57,10 +57,10 @@
 //! batch.push_signs(&[-1, -1, -1, 1, 1, -1]);
 //! batch.push_signs(&[1, 1, 1, 1, -1, -1]);
 //!
-//! let scorer = BatchScorer::new(&memory).with_threads(2);
+//! let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(2);
 //! let nearest = scorer.nearest_batch(&batch);
-//! assert_eq!(memory.label(nearest[0].0), "left");
-//! assert_eq!(memory.label(nearest[1].0), "right");
+//! assert_eq!(nearest[0].0, "left");
+//! assert_eq!(nearest[1].0, "right");
 //! ```
 
 #![deny(missing_docs)]
@@ -73,7 +73,7 @@ pub mod packed;
 pub mod scorer;
 pub mod sharded;
 
-pub use batch::{BatchScorer, PackedQueryBatch};
+pub use batch::PackedQueryBatch;
 pub use dense::{DenseClassMemory, DenseMetric};
 pub use index::{RoutedClassMemory, RoutedConfig};
 pub use minipool::Pool;

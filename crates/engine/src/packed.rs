@@ -6,9 +6,9 @@
 //! Row `r` of the memory occupies `words[r*wpr .. (r+1)*wpr]` where
 //! `wpr = dim.div_ceil(64)`; bit `i` of a row lives at word `i / 64`, bit
 //! position `i % 64`, and unused tail bits are kept at zero. A set bit
-//! encodes a bipolar `-1`, a clear bit a `+1` — the same isomorphism the
-//! `hdc` crate uses between its binary and bipolar hypervectors, so packing
-//! is lossless for ±1 data.
+//! encodes a bipolar `-1`, a clear bit a `+1` — the isomorphism
+//! `hdc::BipolarHypervector::to_packed` applies, so packing is lossless for
+//! ±1 data.
 //!
 //! # Exactness
 //!
@@ -62,8 +62,8 @@ pub fn pack_signs(signs: &[i8]) -> Vec<u64> {
 }
 
 /// Packs the *signs* of a float row (`x < 0` → set bit) into a fresh word
-/// row, matching `BipolarHypervector::from_sign_of` followed by the
-/// binary conversion (ties at exactly zero resolve to `+1`, i.e. clear).
+/// row, matching `BipolarHypervector::from_sign_of` followed by
+/// `to_packed` (ties at exactly zero resolve to `+1`, i.e. clear).
 ///
 /// # Panics
 ///
@@ -109,8 +109,9 @@ const WORD_STRIP: usize = 256;
 /// A labelled associative class memory stored as one contiguous packed word
 /// matrix, scored one-vs-all with a blocked popcount sweep.
 ///
-/// This is the single hot path behind `hdc::ItemMemory` lookups, the
-/// [`BatchScorer`](crate::BatchScorer) and the serving benchmark.
+/// This is the single hot path behind every packed lookup: each shard of a
+/// [`ShardedClassMemory`](crate::ShardedClassMemory) and each cluster of a
+/// [`RoutedClassMemory`](crate::RoutedClassMemory) is one.
 ///
 /// # Example
 ///
@@ -363,7 +364,7 @@ impl PackedClassMemory {
     ///
     /// Panics if the buffer lengths disagree with `n_queries` and the memory
     /// shape.
-    pub fn scores_block_into(&self, queries: &[u64], n_queries: usize, out: &mut [f32]) {
+    pub(crate) fn scores_block_into(&self, queries: &[u64], n_queries: usize, out: &mut [f32]) {
         let wpr = self.words_per_row;
         let classes = self.len();
         assert_eq!(queries.len(), n_queries * wpr, "query buffer length");

@@ -6,8 +6,8 @@
 //! copy-on-write sharded memory
 //! ([`ShardedClassMemory`](crate::ShardedClassMemory)) — each with its own
 //! ad-hoc call surface. [`Scorer`] is the one trait they all implement, so
-//! call sites (`hdc::ItemMemory`, the DAP/ESZSL baselines, the serving
-//! layer, and generic parity tests) can be written once against the
+//! call sites (the DAP/ESZSL baselines, the serving layer, and generic
+//! parity tests) can be written once against the
 //! contract instead of three times against the backends.
 //!
 //! # Contract

@@ -1,10 +1,12 @@
 //! Property tests pinning the engine's exactness contract: packed batched
-//! results are bit-identical to a scalar `i8` reference across random
-//! dimensions (including non-multiples of 64), class counts, batch sizes and
-//! thread counts.
+//! results — through the served one-shard [`ShardedClassMemory`] — are
+//! bit-identical to a scalar `i8` reference across random dimensions
+//! (including non-multiples of 64), class counts, batch sizes and thread
+//! counts.
 
 use engine::{
-    pack_signs, similarity_from_hamming, BatchScorer, PackedClassMemory, PackedQueryBatch, Pool,
+    pack_signs, similarity_from_hamming, PackedClassMemory, PackedQueryBatch, Pool, Scorer,
+    ShardedClassMemory,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,6 +67,11 @@ fn scalar_top_k(
     scored
 }
 
+/// The served batch scorer over `memory`: one shard, `threads` threads.
+fn served(memory: &PackedClassMemory, threads: usize) -> ShardedClassMemory {
+    ShardedClassMemory::from_packed(memory, 1).with_threads(threads)
+}
+
 /// A generated problem: `(labels, prototypes, query rows, packed memory,
 /// packed batch)`.
 type Problem = (
@@ -119,7 +126,7 @@ proptest! {
     ) {
         let (_labels, protos, query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let logits = BatchScorer::new(&memory).with_threads(3).score_batch(&batch);
+        let logits = served(&memory, 3).score_batch(&batch);
         prop_assert_eq!(logits.shape(), (queries, classes));
         for (qi, query) in query_rows.iter().enumerate() {
             for (ci, proto) in protos.iter().enumerate() {
@@ -144,17 +151,17 @@ proptest! {
     ) {
         let (labels, protos, query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let scorer = BatchScorer::new(&memory).with_threads(2);
+        let scorer = served(&memory, 2);
         let nearest = scorer.nearest_batch(&batch);
         let topk = scorer.topk_batch(&batch, k);
         for (qi, query) in query_rows.iter().enumerate() {
             let expected = scalar_nearest(query, &labels, &protos).expect("non-empty");
-            prop_assert_eq!(nearest[qi].0, expected.0, "dim={} q={}", dim, qi);
+            prop_assert_eq!(nearest[qi].0, labels[expected.0].as_str(), "dim={} q={}", dim, qi);
             prop_assert_eq!(nearest[qi].1.to_bits(), expected.1.to_bits());
             let expected_topk = scalar_top_k(query, &labels, &protos, k);
             prop_assert_eq!(topk[qi].len(), expected_topk.len());
             for (got, want) in topk[qi].iter().zip(&expected_topk) {
-                prop_assert_eq!(got.0, want.0, "dim={} q={}", dim, qi);
+                prop_assert_eq!(got.0, labels[want.0].as_str(), "dim={} q={}", dim, qi);
                 prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
             }
         }
@@ -169,16 +176,18 @@ proptest! {
     ) {
         let (_labels, _protos, _query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let reference = BatchScorer::new(&memory).with_threads(1).score_batch(&batch);
+        let single = served(&memory, 1);
+        let reference = single.score_batch(&batch);
+        let nearest_1 = single.nearest_batch(&batch);
         for threads in [2usize, 3, 8, 19] {
-            let logits = BatchScorer::new(&memory).with_threads(threads).score_batch(&batch);
+            let scorer = served(&memory, threads);
+            let logits = scorer.score_batch(&batch);
             prop_assert_eq!(
                 logits.as_slice(), reference.as_slice(),
                 "threads={} dim={}", threads, dim
             );
-            let nearest_1 = BatchScorer::new(&memory).with_threads(1).nearest_batch(&batch);
-            let nearest_n = BatchScorer::new(&memory).with_threads(threads).nearest_batch(&batch);
-            prop_assert_eq!(nearest_1, nearest_n, "threads={}", threads);
+            let nearest_n = scorer.nearest_batch(&batch);
+            prop_assert_eq!(&nearest_1, &nearest_n, "threads={}", threads);
         }
     }
 

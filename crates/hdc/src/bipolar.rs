@@ -5,7 +5,7 @@
 //! stack of bipolar hypervectors converted to a [`tensor::Matrix`] row per
 //! attribute.
 
-use crate::{BinaryHypervector, HdcError};
+use crate::HdcError;
 use rand::Rng;
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
@@ -212,10 +212,10 @@ impl BipolarHypervector {
         }
     }
 
-    /// Converts to the equivalent packed binary hypervector (`+1 → 0`,
-    /// `-1 → 1`).
-    pub fn to_binary(&self) -> BinaryHypervector {
-        BinaryHypervector::from_bits(&self.values.iter().map(|&v| v == -1).collect::<Vec<bool>>())
+    /// Packs into the engine's 1-bit row layout: bit `i` is set iff sign
+    /// `i` is `-1`, with tail bits clear (see [`engine::pack_signs`]).
+    pub fn to_packed(&self) -> Vec<u64> {
+        engine::pack_signs(&self.values)
     }
 
     /// Converts to a row of `f32` values (for use in dense matrices).
@@ -378,8 +378,20 @@ mod tests {
     fn binary_roundtrip_preserves_everything() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = BipolarHypervector::random(777, &mut rng);
-        let roundtrip = a.to_binary().to_bipolar();
-        assert_eq!(a, roundtrip);
+        let words = a.to_packed();
+        assert_eq!(words.len(), 777usize.div_ceil(64));
+        let signs: Vec<i8> = (0..777)
+            .map(|i| {
+                if (words[i / 64] >> (i % 64)) & 1 == 1 {
+                    -1
+                } else {
+                    1
+                }
+            })
+            .collect();
+        assert_eq!(BipolarHypervector::from_signs(&signs), a);
+        // Bits past the dimensionality stay clear.
+        assert_eq!(words[777 / 64] >> (777 % 64), 0);
     }
 
     #[test]
@@ -387,9 +399,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let a = BipolarHypervector::random(512, &mut rng);
         let b = BipolarHypervector::random(512, &mut rng);
-        // XOR of binary == Hadamard of bipolar.
-        let via_binary = a.to_binary().bind(&b.to_binary()).to_bipolar();
-        assert_eq!(via_binary, a.bind(&b));
+        // XOR of packed words == packed Hadamard bind.
+        let xor: Vec<u64> = a
+            .to_packed()
+            .iter()
+            .zip(b.to_packed())
+            .map(|(x, y)| x ^ y)
+            .collect();
+        assert_eq!(xor, a.bind(&b).to_packed());
     }
 
     #[test]

@@ -6,23 +6,19 @@
 //! an attribute dictionary of `α = 312` codevectors materialised on the fly by
 //! *binding* the appropriate group and value hypervectors. This crate provides
 //! all the HDC machinery that encoder needs, plus the usual HDC toolkit
-//! (bundling, permutation, item memories, similarity search) so the library is
-//! useful beyond the single paper experiment.
+//! (bundling, permutation, similarity) so the library is useful beyond the
+//! single paper experiment.
 //!
-//! Two concrete hypervector representations are provided:
+//! Hypervectors live here in one form, [`BipolarHypervector`]: `{-1, +1}`
+//! values stored as `i8`, bound by the Hadamard (elementwise) product,
+//! bundled by the sign of the sum and compared by the cosine. It
+//! interoperates directly with the floating-point matrices training uses.
 //!
-//! * [`BinaryHypervector`] — bit-packed (`u64` words) dense binary vectors;
-//!   binding is XOR, bundling is majority vote, similarity is (normalised)
-//!   Hamming distance. This is the "edge device" representation the paper's
-//!   outlook section targets.
-//! * [`BipolarHypervector`] — `{-1, +1}` vectors stored as `i8`; binding is
-//!   the Hadamard (elementwise) product, bundling is the sign of the sum,
-//!   similarity is the cosine. This is the representation used during
-//!   training because it interoperates directly with floating-point matrices.
-//!
-//! The two representations are isomorphic (`+1 ↔ 0`, `-1 ↔ 1`) and the crate
-//! provides loss-free conversions plus property tests asserting that binding
-//! and similarity commute with the conversion.
+//! The 1-bit form the paper deploys is the `engine` crate's packed `u64`
+//! rows ([`engine::PackedClassMemory`] and the sharded and routed memories
+//! built on it). [`BipolarHypervector::to_packed`] converts losslessly
+//! (`+1 → 0`, `-1 → 1`): binding becomes XOR of the words and the cosine
+//! becomes the Hamming-derived similarity, which the property tests pin.
 //!
 //! # Example
 //!
@@ -43,22 +39,18 @@
 #![warn(clippy::all)]
 
 pub mod accumulator;
-pub mod binary;
 pub mod bipolar;
 pub mod bundler;
 pub mod codebook;
 pub mod encoding;
-pub mod item_memory;
 pub mod similarity;
 
 pub use accumulator::ClassAccumulator;
-pub use binary::BinaryHypervector;
 pub use bipolar::BipolarHypervector;
 pub use bundler::Bundler;
 pub use codebook::{Codebook, CodebookMemory};
 pub use encoding::LevelEncoder;
-pub use item_memory::ItemMemory;
-pub use similarity::{cosine, hamming_distance, normalized_hamming_similarity};
+pub use similarity::cosine;
 
 use serde::{Deserialize, Serialize};
 
@@ -113,7 +105,7 @@ pub enum HdcError {
         /// Dimensionality of the right operand.
         right: usize,
     },
-    /// An index into a codebook or item memory was out of range.
+    /// An index into a codebook was out of range.
     IndexOutOfRange {
         /// The offending index.
         index: usize,

@@ -1,11 +1,48 @@
 //! Property-based tests for the HDC substrate: algebraic laws of binding,
-//! bundling and permutation, and consistency between the binary and bipolar
-//! representations.
+//! bundling and permutation, and consistency between the bipolar form and
+//! the engine's packed 1-bit rows (`BipolarHypervector::to_packed`).
 
-use hdc::{bundler::bundle_bipolar, BinaryHypervector, BipolarHypervector, Bundler};
+use hdc::{bundler::bundle_bipolar, BipolarHypervector, Bundler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Inverse of `to_packed`: bit `i` set ↔ sign `i` is `-1`.
+fn unpack(words: &[u64], dim: usize) -> BipolarHypervector {
+    let signs: Vec<i8> = (0..dim)
+        .map(|i| {
+            if (words[i / 64] >> (i % 64)) & 1 == 1 {
+                -1
+            } else {
+                1
+            }
+        })
+        .collect();
+    BipolarHypervector::from_signs(&signs)
+}
+
+/// A random packed row of `dim` bits with the tail bits clear.
+fn random_packed(dim: usize, rng: &mut StdRng) -> Vec<u64> {
+    let mut words: Vec<u64> = (0..dim.div_ceil(64)).map(|_| rng.gen::<u64>()).collect();
+    engine::mask_tail_word(dim, &mut words);
+    words
+}
+
+fn xor(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).map(|(x, y)| x ^ y).collect()
+}
+
+fn hamming(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum()
+}
+
+/// The similarity the engine serves for two packed rows.
+fn packed_similarity(a: &[u64], b: &[u64], dim: usize) -> f32 {
+    engine::similarity_from_hamming(dim, hamming(a, b))
+}
 
 /// Strategy producing a pair of independent random bipolar hypervectors of a
 /// shared (moderate) dimensionality plus the RNG seed used to build them.
@@ -65,19 +102,19 @@ proptest! {
 
     #[test]
     fn binary_bipolar_roundtrip((a, _b) in hv_pair()) {
-        prop_assert_eq!(a.to_binary().to_bipolar(), a);
+        prop_assert_eq!(unpack(&a.to_packed(), a.dim()), a);
     }
 
     #[test]
     fn binary_similarity_equals_bipolar_cosine((a, b) in hv_pair()) {
-        let binary_sim = a.to_binary().similarity(&b.to_binary());
-        prop_assert!((binary_sim - a.cosine(&b)).abs() < 1e-5);
+        let packed_sim = packed_similarity(&a.to_packed(), &b.to_packed(), a.dim());
+        prop_assert_eq!(packed_sim.to_bits(), a.cosine(&b).to_bits());
     }
 
     #[test]
     fn xor_binding_commutes_with_conversion((a, b) in hv_pair()) {
-        let via_binary = a.to_binary().bind(&b.to_binary()).to_bipolar();
-        prop_assert_eq!(via_binary, a.bind(&b));
+        let via_packed = unpack(&xor(&a.to_packed(), &b.to_packed()), a.dim());
+        prop_assert_eq!(via_packed, a.bind(&b));
     }
 
     #[test]
@@ -111,17 +148,20 @@ proptest! {
     #[test]
     fn binary_hamming_triangle_inequality(seed in any::<u64>(), dim in 64usize..512) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = BinaryHypervector::random(dim, &mut rng);
-        let b = BinaryHypervector::random(dim, &mut rng);
-        let c = BinaryHypervector::random(dim, &mut rng);
-        prop_assert!(a.hamming(&c) <= a.hamming(&b) + b.hamming(&c));
+        let a = random_packed(dim, &mut rng);
+        let b = random_packed(dim, &mut rng);
+        let c = random_packed(dim, &mut rng);
+        prop_assert!(hamming(&a, &c) <= hamming(&a, &b) + hamming(&b, &c));
     }
 
     #[test]
     fn binary_popcount_bounds(seed in any::<u64>(), dim in 1usize..512) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = BinaryHypervector::random(dim, &mut rng);
-        prop_assert!(a.count_ones() <= dim);
+        let a = BipolarHypervector::random(dim, &mut rng);
+        let ones: u32 = a.to_packed().iter().map(|w| w.count_ones()).sum();
+        let negatives = a.as_slice().iter().filter(|&&s| s == -1).count();
+        prop_assert_eq!(ones as usize, negatives);
+        prop_assert!(ones as usize <= dim);
     }
 }
 
@@ -202,21 +242,22 @@ proptest! {
     }
 }
 
-// Round-trip properties of the binary↔bipolar isomorphism (`+1 ↔ 0`,
+// Round-trip properties of the bipolar ↔ packed isomorphism (`+1 ↔ 0`,
 // `-1 ↔ 1`): the algebra (bind, bundle, similarity) must commute with the
-// conversion in both directions.
+// conversion in both directions, so serving the 1-bit rows is exact.
 proptest! {
     #[test]
     fn binary_roundtrip_from_binary_side(seed in any::<u64>(), dim in 1usize..1024) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = BinaryHypervector::random(dim, &mut rng);
-        prop_assert_eq!(a.to_bipolar().to_binary(), a);
+        let words = random_packed(dim, &mut rng);
+        prop_assert_eq!(unpack(&words, dim).to_packed(), words);
     }
 
+    /// XOR of the packed words is the packed Hadamard bind: binding needs no
+    /// unpacking on a 1-bit device.
     #[test]
     fn bind_commutes_with_conversion_bipolar_to_binary((a, b) in hv_pair()) {
-        let via_bipolar = a.bind(&b).to_binary();
-        prop_assert_eq!(via_bipolar, a.to_binary().bind(&b.to_binary()));
+        prop_assert_eq!(a.bind(&b).to_packed(), xor(&a.to_packed(), &b.to_packed()));
     }
 
     #[test]
@@ -225,11 +266,11 @@ proptest! {
         dim in 64usize..1024,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = BinaryHypervector::random(dim, &mut rng);
-        let b = BinaryHypervector::random(dim, &mut rng);
-        let binary_sim = a.similarity(&b);
-        let bipolar_sim = a.to_bipolar().cosine(&b.to_bipolar());
-        prop_assert!((binary_sim - bipolar_sim).abs() < 1e-5);
+        let a = random_packed(dim, &mut rng);
+        let b = random_packed(dim, &mut rng);
+        let packed_sim = packed_similarity(&a, &b, dim);
+        let bipolar_sim = unpack(&a, dim).cosine(&unpack(&b, dim));
+        prop_assert_eq!(packed_sim.to_bits(), bipolar_sim.to_bits());
     }
 
     #[test]
@@ -241,11 +282,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let items: Vec<BipolarHypervector> =
             (0..n).map(|_| BipolarHypervector::random(dim, &mut rng)).collect();
-        let binary_items: Vec<BinaryHypervector> =
-            items.iter().map(BipolarHypervector::to_binary).collect();
-        let via_bipolar = bundle_bipolar(&items).expect("non-empty").to_binary();
-        let via_binary = hdc::bundler::bundle_binary(&binary_items).expect("non-empty");
-        prop_assert_eq!(via_bipolar, via_binary);
+        let packed: Vec<Vec<u64>> = items.iter().map(BipolarHypervector::to_packed).collect();
+        // Bitwise majority over the packed rows.
+        let mut majority = vec![0u64; dim.div_ceil(64)];
+        for bit in 0..dim {
+            let set = packed
+                .iter()
+                .filter(|words| (words[bit / 64] >> (bit % 64)) & 1 == 1)
+                .count();
+            if 2 * set > n {
+                majority[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        prop_assert_eq!(bundle_bipolar(&items).expect("non-empty").to_packed(), majority);
     }
 
     #[test]
@@ -258,12 +307,13 @@ proptest! {
         let bundle = bundle_bipolar(&items).expect("non-empty");
         for item in &items {
             let bipolar_sim = bundle.cosine(item);
-            let binary_sim = bundle.to_binary().similarity(&item.to_binary());
-            prop_assert!(
-                (bipolar_sim - binary_sim).abs() < 1e-5,
+            let packed_sim = packed_similarity(&bundle.to_packed(), &item.to_packed(), dim);
+            prop_assert_eq!(
+                bipolar_sim.to_bits(),
+                packed_sim.to_bits(),
                 "cosine {} vs hamming-derived {}",
                 bipolar_sim,
-                binary_sim
+                packed_sim
             );
         }
     }

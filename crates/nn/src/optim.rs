@@ -27,11 +27,6 @@ pub trait Optimizer {
     fn name(&self) -> &'static str;
 }
 
-/// Convenience wrapper: runs one optimizer step over a [`crate::Layer`].
-pub fn step_layer(optimizer: &mut dyn Optimizer, lr: f32, layer: &mut dyn crate::Layer) {
-    optimizer.step(lr, &mut |f| layer.visit_params(f));
-}
-
 /// Stochastic gradient descent with optional momentum and decoupled weight
 /// decay.
 #[derive(Debug, Clone)]
@@ -356,7 +351,7 @@ mod tests {
             let loss = 0.5 * diff.frobenius_norm().powi(2) / 64.0;
             let grad = diff.scale(1.0 / 64.0);
             let _ = model.backward(&grad);
-            step_layer(&mut opt, 0.05, &mut model);
+            opt.step(0.05, &mut |f| model.visit_params(f));
             last_loss = loss;
         }
         assert!(last_loss < 1e-3, "regression did not converge: {last_loss}");
@@ -371,7 +366,7 @@ mod tests {
         let x = Matrix::ones(1, 4);
         let out = model.forward(&x, true);
         let _ = model.backward(&out);
-        step_layer(&mut opt, 0.001, &mut model);
+        opt.step(0.001, &mut |f| model.visit_params(f));
         assert_eq!(opt.state.m.len(), 2); // weight + bias
         assert_eq!(opt.state.v.len(), 2);
     }

@@ -47,6 +47,17 @@
 //! the fsync, trading a bounded window of acknowledged-but-unsynced records
 //! for mutation throughput; a torn tail in that window is still detected
 //! and cleanly ignored on recovery.
+//!
+//! # Failed appends
+//!
+//! An append is failure-atomic at the writer: a record over the payload
+//! cap is refused with [`WalError::RecordTooLarge`] before any byte is
+//! written, and a write that fails part-way is truncated back to the end of
+//! the last good record, so the next append never lands behind a partial
+//! frame. If that truncation fails, or an fsync fails (after which the
+//! kernel may have dropped dirty pages, so what is on disk is unknown), the
+//! writer is **poisoned**: every later append returns
+//! [`WalError::Poisoned`] until the log is reopened, which re-verifies it.
 
 use engine::ShardedClassMemory;
 use serde::{Serialize, Value};
@@ -143,6 +154,18 @@ pub enum WalError {
         /// The version this build writes and reads.
         supported: u32,
     },
+    /// A record's payload exceeds the cap replay enforces; nothing was
+    /// written.
+    RecordTooLarge {
+        /// The payload length in bytes.
+        len: usize,
+        /// The largest payload a log accepts.
+        max: usize,
+    },
+    /// An earlier append or sync failed in a way that leaves the file's
+    /// contents unknown; the writer refuses appends until the log is
+    /// reopened.
+    Poisoned,
 }
 
 impl std::fmt::Display for WalError {
@@ -155,6 +178,14 @@ impl std::fmt::Display for WalError {
             WalError::UnsupportedFormat { found, supported } => write!(
                 f,
                 "unsupported WAL format {found} (this build reads {supported})"
+            ),
+            WalError::RecordTooLarge { len, max } => write!(
+                f,
+                "WAL record of {len} bytes exceeds the {max}-byte record cap"
+            ),
+            WalError::Poisoned => write!(
+                f,
+                "WAL writer is poisoned by an earlier failed write or sync; reopen the log"
             ),
         }
     }
@@ -537,6 +568,14 @@ pub struct WriteAheadLog {
     next_seq: u64,
     policy: SyncPolicy,
     unsynced: u32,
+    /// Byte offset just past the last fully written record: where a failed
+    /// append truncates back to.
+    end: u64,
+    /// Set when an append or sync failed and the file contents are unknown.
+    poisoned: bool,
+    /// Payload cap; [`MAX_RECORD_LEN`] outside the unit tests, which lower
+    /// it to exercise the rejection without a 64 MiB record.
+    max_record_len: usize,
 }
 
 impl WriteAheadLog {
@@ -590,6 +629,9 @@ impl WriteAheadLog {
             next_seq: first_seq,
             policy,
             unsynced: 0,
+            end: HEADER_LEN,
+            poisoned: false,
+            max_record_len: MAX_RECORD_LEN as usize,
         })
     }
 
@@ -618,6 +660,9 @@ impl WriteAheadLog {
                 next_seq: recovered.next_seq(),
                 policy,
                 unsynced: 0,
+                end: recovered.end_offset,
+                poisoned: false,
+                max_record_len: MAX_RECORD_LEN as usize,
             },
             recovered,
         ))
@@ -636,31 +681,56 @@ impl WriteAheadLog {
     /// Appends one record and applies the sync policy. Returns the sequence
     /// number the record was written under.
     ///
+    /// On any error the record is not logged and the caller must not
+    /// publish the mutation; see the module docs for what a failure leaves
+    /// behind.
+    ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the write or sync fails; the record must then be
-    /// treated as not logged (the caller should not publish the mutation).
+    /// [`WalError::RecordTooLarge`] before anything is written,
+    /// [`WalError::Poisoned`] after an earlier unrecoverable failure, and
+    /// [`WalError::Io`] if the write or sync fails.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, WalError> {
+        if self.poisoned {
+            return Err(WalError::Poisoned);
+        }
         let seq = self.next_seq;
         let payload =
             serde_json::to_string(&op.to_value(seq)).expect("record serialization is infallible");
         let payload = payload.as_bytes();
-        debug_assert!(payload.len() <= MAX_RECORD_LEN as usize);
+        if payload.len() > self.max_record_len {
+            return Err(WalError::RecordTooLarge {
+                len: payload.len(),
+                max: self.max_record_len,
+            });
+        }
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.next_seq += 1;
-        match self.policy {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
+        if let Err(e) = self.file.write_all(&frame) {
+            // Drop whatever part of the frame reached the file, so the next
+            // append does not land behind it.
+            let rolled_back = self.file.set_len(self.end).is_ok()
+                && self.file.seek(SeekFrom::Start(self.end)).is_ok();
+            self.poisoned = !rolled_back;
+            return Err(e.into());
         }
+        let unsynced = self.unsynced + 1;
+        let due = match self.policy {
+            SyncPolicy::Always => true,
+            SyncPolicy::EveryN(n) => unsynced >= n.max(1),
+        };
+        if !due {
+            self.unsynced = unsynced;
+        } else if let Err(e) = self.sync() {
+            // Best effort: keep the record the caller is told failed out of
+            // the next replay. `sync` poisoned the writer either way.
+            let _ = self.file.set_len(self.end);
+            return Err(e);
+        }
+        self.end += frame.len() as u64;
+        self.next_seq += 1;
         Ok(seq)
     }
 
@@ -668,9 +738,16 @@ impl WriteAheadLog {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the fsync fails.
+    /// [`WalError::Poisoned`] after an earlier unrecoverable failure, and
+    /// [`WalError::Io`] if the fsync fails, which poisons the writer.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_all()?;
+        if self.poisoned {
+            return Err(WalError::Poisoned);
+        }
+        if let Err(e) = self.file.sync_all() {
+            self.poisoned = true;
+            return Err(e.into());
+        }
         self.unsynced = 0;
         Ok(())
     }
@@ -963,6 +1040,73 @@ mod tests {
         assert_eq!(recovered.first_seq, 3);
         assert_eq!(recovered.entries.len(), 1);
         assert_eq!(recovered.entries[0].seq, 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn replayed_ops(path: &Path) -> Vec<WalOp> {
+        let recovered = replay(path).expect("replay");
+        assert!(recovered.torn_tail.is_none());
+        recovered.entries.into_iter().map(|e| e.op).collect()
+    }
+
+    /// A record over the cap is refused before any byte reaches the file;
+    /// the writer stays usable and the log replays only what was
+    /// acknowledged.
+    #[test]
+    fn over_cap_record_is_refused_before_anything_is_written() {
+        let path = temp_wal("over_cap.log");
+        let ops = sample_ops();
+        let mut wal = WriteAheadLog::create(&path, SyncPolicy::Always).expect("create");
+        wal.append(&ops[0]).expect("append A");
+        let len = std::fs::metadata(&path).expect("metadata").len();
+        wal.max_record_len = 128;
+        let big = WalOp::Remove {
+            label: "x".repeat(200),
+        };
+        match wal.append(&big) {
+            Err(WalError::RecordTooLarge { len, max: 128 }) => assert!(len > 200),
+            other => panic!("over-cap record must be refused, got {other:?}"),
+        }
+        assert_eq!(std::fs::metadata(&path).expect("metadata").len(), len);
+        assert_eq!(wal.next_seq(), 1);
+        drop(wal);
+        assert_eq!(replayed_ops(&path), vec![ops[0].clone()]);
+        let (mut wal, _) = WriteAheadLog::open(&path, SyncPolicy::Always).expect("reopen");
+        assert_eq!(wal.append(&ops[1]).expect("append after refusal"), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A write that fails (here: ENOSPC from `/dev/full`) whose rollback
+    /// also fails (a character device cannot be truncated) poisons the
+    /// writer: it refuses every later append and sync, even once the real
+    /// file is back, until the log is reopened — which replays exactly the
+    /// acknowledged records.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_write_poisons_the_writer_until_the_log_is_reopened() {
+        let path = temp_wal("dev_full.log");
+        let ops = sample_ops();
+        let mut wal = WriteAheadLog::create(&path, SyncPolicy::Always).expect("create");
+        wal.append(&ops[0]).expect("append A");
+        let len = std::fs::metadata(&path).expect("metadata").len();
+        let full = OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let real = std::mem::replace(&mut wal.file, full);
+        assert!(matches!(wal.append(&ops[1]), Err(WalError::Io(_))));
+        wal.file = real;
+        assert!(matches!(wal.append(&ops[1]), Err(WalError::Poisoned)));
+        assert!(matches!(wal.sync(), Err(WalError::Poisoned)));
+        assert_eq!(wal.next_seq(), 1);
+        drop(wal);
+        assert_eq!(std::fs::metadata(&path).expect("metadata").len(), len);
+        let (mut wal, recovered) = WriteAheadLog::open(&path, SyncPolicy::Always).expect("reopen");
+        assert_eq!(recovered.entries.len(), 1);
+        assert_eq!(recovered.entries[0].op, ops[0]);
+        assert_eq!(wal.append(&ops[1]).expect("append after reopen"), 1);
+        drop(wal);
+        assert_eq!(replayed_ops(&path), ops[..2].to_vec());
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,7 +37,7 @@ impl std::error::Error for CholeskyError {}
 /// # Panics
 ///
 /// Panics if `a` is not square.
-pub fn cholesky(a: &Matrix) -> Result<Matrix, CholeskyError> {
+fn cholesky(a: &Matrix) -> Result<Matrix, CholeskyError> {
     assert_eq!(a.rows(), a.cols(), "cholesky requires a square matrix");
     let n = a.rows();
     let mut l = Matrix::zeros(n, n);

@@ -5,10 +5,10 @@
 //! crates so examples can refer to everything through one dependency.
 //!
 //! * [`engine`] — batched inference engine (packed + sharded class
-//!   memories, batch scorer, row-parallel dense scoring);
+//!   memories, routed index, row-parallel dense scoring);
 //! * [`serve`] — online serving (hot-swappable snapshot `QueryServer`);
-//! * [`hdc`] — hyperdimensional-computing substrate (hypervectors, binding,
-//!   bundling, codebooks, item memories);
+//! * [`hdc`] — hyperdimensional-computing substrate (bipolar hypervectors,
+//!   binding, bundling, codebooks, class accumulators);
 //! * [`tensor`] / [`nn`] — dense linear algebra and the trainable-layer
 //!   substrate (losses, AdamW, cosine kernel);
 //! * [`dataset`] — the synthetic CUB-200-2011 stand-in (schema, class
